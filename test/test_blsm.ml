@@ -607,6 +607,35 @@ let test_wal_truncation_bounded () =
     Alcotest.failf "WAL not truncated: %d bytes" (Pagestore.Wal.size_bytes wal)
 
 (* -------------------------------------------------------------------- *)
+(* Component lifetime *)
+
+(* Regression: at the default config a merge2 completing mid-merge1 used
+   to promote the C1 that merge1 was still reading; merge1's commit then
+   freed it under the new merge2, whose reads of reused pages failed
+   their checksums (a Corruption on a fault-free run). *)
+let test_no_promote_under_merge1 () =
+  let n = 200 and value_bytes = 1000 in
+  let config =
+    {
+      Blsm.Config.default with
+      Blsm.Config.c0_bytes = n * value_bytes * 16 / 100;
+      extent_pages = 1024;
+    }
+  in
+  let t = Blsm.Tree.create ~config (mk_store ~buffer_pages:64 ()) in
+  let value pass i = Printf.sprintf "%d-%06d-%s" pass i (String.make value_bytes 'v') in
+  for pass = 0 to 1 do
+    for i = 0 to n - 1 do
+      Blsm.Tree.put t (Repro_util.Keygen.key_of_id i) (value pass i)
+    done
+  done;
+  Blsm.Tree.maintenance t;
+  for i = 0 to n - 1 do
+    check (Alcotest.option Alcotest.string) "read back" (Some (value 1 i))
+      (Blsm.Tree.get t (Repro_util.Keygen.key_of_id i))
+  done
+
+(* -------------------------------------------------------------------- *)
 
 let () =
   Alcotest.run "blsm"
@@ -672,5 +701,9 @@ let () =
           Alcotest.test_case "degraded durability" `Quick test_recovery_degraded_durability;
           Alcotest.test_case "wal truncation" `Quick test_wal_truncation_bounded;
           Alcotest.test_case "persisted bloom recovery" `Quick test_persisted_bloom_recovery;
+        ] );
+      ( "lifetime",
+        [
+          Alcotest.test_case "no promote under merge1" `Quick test_no_promote_under_merge1;
         ] );
     ]
