@@ -18,7 +18,7 @@ let of_sst ?bloom sst = { sst; bloom; bloom_negative = 0; bloom_false_positive =
     the persisted copy when the component carries one (1.25 B/key of
     sequential I/O), otherwise rebuilds by scanning the whole component —
     the §4.4.3 trade-off, selectable via {!Config.t.persist_bloom}. *)
-let build_bloom ?(kind = Bloom.Standard) ~bits_per_key sst =
+let build_bloom ~kind ~bits_per_key sst =
   if bits_per_key = 0 then None
   else
     match Sstable.Reader.load_bloom_blob sst with
@@ -41,6 +41,20 @@ let build_bloom ?(kind = Bloom.Standard) ~bits_per_key sst =
     go ();
     Some bloom
   end
+
+(* A rotted Bloom blob is derived data that [build_bloom] rebuilds;
+   other damage mounts bloomless, as the rebuild scan would trip over
+   the bad page. *)
+let mount ~kind ~bits_per_key ~verify sst =
+  let errs = if verify then Sstable.Reader.verify sst else [] in
+  let bloom_errs, errs =
+    List.partition (fun (what, _) -> what = "bloom blob checksum") errs
+  in
+  let t =
+    if errs = [] then of_sst ?bloom:(build_bloom ~kind ~bits_per_key sst) sst
+    else of_sst sst
+  in
+  (t, List.length bloom_errs, List.length errs)
 
 let data_bytes t = Sstable.Reader.data_bytes t.sst
 let record_count t = Sstable.Reader.record_count t.sst

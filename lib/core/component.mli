@@ -14,12 +14,16 @@ type t = {
 
 val of_sst : ?bloom:Bloom.t -> Sstable.Reader.t -> t
 
-(** [build_bloom ?kind ~bits_per_key sst] recovers a component's filter:
-    the persisted copy when one exists, else a fresh filter of layout
-    [kind] (default [Standard]) populated by scanning the component.
-    [None] when [bits_per_key = 0]. *)
-val build_bloom :
-  ?kind:Bloom.kind -> bits_per_key:int -> Sstable.Reader.t -> Bloom.t option
+(** [mount ~kind ~bits_per_key ~verify sst] mounts a component found at
+    recovery; [verify] checksums every page first. Its Bloom filter is
+    read back when persisted, else rebuilt by a scan ([None] when
+    [bits_per_key = 0]). A rotted Bloom blob only counts; other damage
+    mounts the component bloomless, so good pages stay readable and
+    rotted ones raise on touch. Returns the component and the counts of
+    Bloom-blob and other checksum errors. *)
+val mount :
+  kind:Bloom.kind -> bits_per_key:int -> verify:bool -> Sstable.Reader.t ->
+  t * int * int
 
 val data_bytes : t -> int
 val record_count : t -> int

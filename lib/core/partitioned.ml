@@ -114,11 +114,7 @@ let write_batch t ops =
     Array.iteri
       (fun i slice ->
         if slice <> [] then begin
-          let bytes =
-            List.fold_left
-              (fun a (k, e) -> a + String.length k + Kv.Entry.payload_bytes e)
-              0 slice
-          in
+          let bytes = Write_front.payload_bytes slice in
           Tree.before_write t.partitions.(i) ~write_bytes:(max 64 bytes)
         end)
       slices;

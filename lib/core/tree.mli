@@ -64,11 +64,8 @@ type stats = {
   mutable recovery_us : float;  (** replay + component-rebuild time *)
 }
 
-(** Per-operation stall attribution: how the last write's pacing time
-    divided across causes. [merge1_us + merge2_us + hard_us = total_us]
-    within float rounding ([total_us] is the sample added to
-    [stall_us]); [wal_us] is WAL append time, charged outside pacing. *)
-type stall_breakdown = {
+(** Per-operation stall attribution ({!Write_front.stall_breakdown}). *)
+type stall_breakdown = Write_front.stall_breakdown = {
   sb_merge1_us : float;
   sb_merge2_us : float;
   sb_hard_us : float;

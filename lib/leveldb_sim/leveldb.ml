@@ -84,13 +84,21 @@ type t = {
   mutable timestamp : int;
   stats : stats;
   mutable metrics_cache : Obs.Metrics.t option;
+  mutable chain : Blsm.Read_chain.t;
+      (** memtable, L0 newest first, then one source per deeper level;
+          rebuilt by [refresh_chain] at every flush and compaction *)
 }
 
+let make_chain config sources =
+  Blsm.Read_chain.make ~resolver:config.resolver ~early_termination:true
+    sources
+
 let create ?(config = default_config) store =
+  let mem = Memtable.create ~seed:config.seed ~resolver:config.resolver () in
   {
     config;
     store;
-    mem = Memtable.create ~seed:config.seed ~resolver:config.resolver ();
+    mem;
     levels = Array.make config.max_levels [];
     next_age = 1;
     policy = Blsm.Compaction_policy.leveldb_seed ();
@@ -100,6 +108,7 @@ let create ?(config = default_config) store =
       { flushes = 0; compactions = 0; slowdown_writes = 0; stop_stalls = 0;
         bytes_compacted = 0 };
     metrics_cache = None;
+    chain = make_chain config [ Blsm.Read_chain.memtable mem ];
   }
 
 let stats t = t.stats
@@ -204,32 +213,65 @@ let build_files ?file_bytes t pull =
   (match !current with Some b -> finish b | None -> ());
   List.rev !out
 
+let open_file ?from f () =
+  let it = Sstable.Reader.iterator ?from f.sst in
+  fun () -> Sstable.Reader.iter_next_full it
+
 (* Concatenate the iterators of a disjoint, sorted file list. *)
-let chain_pull files =
-  let remaining = ref files in
-  let it = ref None in
-  let rec pull () =
-    match !it with
-    | Some i -> (
-        match Sstable.Reader.iter_next_full i with
-        | Some r -> Some r
-        | None ->
-            it := None;
-            pull ())
-    | None -> (
-        match !remaining with
-        | [] -> None
-        | f :: rest ->
-            remaining := rest;
-            it := Some (Sstable.Reader.iterator f.sst);
-            pull ())
-  in
-  pull
+let chain_files files = Blsm.Read_chain.chain (List.map (fun f -> open_file f) files)
 
 let sort_by_min_key files =
   List.sort
     (fun a b -> String.compare (Sstable.Reader.min_key a.sst) (Sstable.Reader.min_key b.sst))
     files
+
+(* A deeper level: key-disjoint files sorted by min key. A point read
+   probes the one file whose range covers the key (LevelDB has no Bloom
+   filters); a scan chains the files from the first that reaches it. *)
+let level_source files =
+  let covering key =
+    List.find_opt
+      (fun f ->
+        String.compare (Sstable.Reader.min_key f.sst) key <= 0
+        && String.compare key (Sstable.Reader.max_key f.sst) <= 0)
+      files
+  in
+  {
+    Blsm.Read_chain.probe =
+      (fun key -> Option.bind (covering key) (fun f -> Sstable.Reader.get f.sst key));
+    version =
+      (fun key ->
+        Option.bind (covering key) (fun f ->
+            Option.map snd (Sstable.Reader.get_with_lsn f.sst key)));
+    open_at =
+      (fun from ->
+        match
+          List.filter
+            (fun f -> String.compare (Sstable.Reader.max_key f.sst) from >= 0)
+            files
+        with
+        | [] -> fun () -> None
+        | first :: rest ->
+            Blsm.Read_chain.chain
+              (open_file ~from first :: List.map (fun f -> open_file f) rest));
+  }
+
+(* The read chain, newest first: memtable, every L0 file newest first
+   (their ranges overlap), then one source per non-empty deeper level. *)
+let refresh_chain t =
+  let l0 =
+    List.map
+      (fun f ->
+        Blsm.Read_chain.component Blsm.Read_chain.unguarded
+          (Blsm.Component.of_sst f.sst))
+      (List.sort (fun a b -> Int.compare b.age a.age) t.levels.(0))
+  in
+  let deeper =
+    List.filter_map
+      (fun files -> if files = [] then None else Some (level_source files))
+      (List.tl (Array.to_list t.levels))
+  in
+  t.chain <- make_chain t.config ((Blsm.Read_chain.memtable t.mem :: l0) @ deeper)
 
 let is_bottom_nonempty t level =
   (* no data below [level]: deletion markers can be dropped *)
@@ -243,23 +285,16 @@ let is_bottom_nonempty t level =
 
 let flush_mem t =
   if not (Memtable.is_empty t.mem) then begin
-    let pull =
-      let cursor = ref "" in
-      fun () ->
-        match Memtable.peek_geq_lsn t.mem !cursor with
-        | Some (k, _, _) as r ->
-            cursor := k ^ "\000";
-            r
-        | None -> None
-    in
     (* one L0 file regardless of size: L0 files mirror memtable contents *)
     let files =
       build_files
         ~file_bytes:(max t.config.file_bytes (2 * t.config.memtable_bytes))
-        t pull
+        t
+        ((Blsm.Read_chain.memtable t.mem).open_at "")
     in
     t.levels.(0) <- files @ t.levels.(0);
     t.mem <- Memtable.create ~seed:t.config.seed ~resolver:t.config.resolver ();
+    refresh_chain t;
     t.stats.flushes <- t.stats.flushes + 1;
     (* log entries are now durable in L0 *)
     let wal = Pagestore.Store.wal t.store in
@@ -286,13 +321,11 @@ let execute_job t (job : Blsm.Compaction_policy.job) =
       if List.length inputs_lo > 1 then
         inputs_lo
         |> List.sort (fun a b -> Int.compare b.age a.age)
-        |> List.mapi (fun i f ->
-               (i, let it = Sstable.Reader.iterator f.sst in
-                   fun () -> Sstable.Reader.iter_next_full it))
-      else [ (0, chain_pull (sort_by_min_key inputs_lo)) ]
+        |> List.mapi (fun i f -> (i, open_file f ()))
+      else [ (0, chain_files (sort_by_min_key inputs_lo)) ]
     in
     let n_lo = List.length lo_sources in
-    let hi_source = (n_lo, chain_pull (sort_by_min_key inputs_hi)) in
+    let hi_source = (n_lo, chain_files (sort_by_min_key inputs_hi)) in
     let merge =
       Sstable.Merge_iter.create ~resolver:t.config.resolver
         ~drop_tombstones:(is_bottom_nonempty t job.j_target)
@@ -318,6 +351,7 @@ let execute_job t (job : Blsm.Compaction_policy.job) =
     t.levels.(job.j_target) <-
       sort_by_min_key
         (outputs @ List.filter (not_input inputs_hi) t.levels.(job.j_target));
+    refresh_chain t;
     List.iter (fun f -> Sstable.Reader.free f.sst) inputs_lo;
     List.iter (fun f -> Sstable.Reader.free f.sst) inputs_hi
   end
@@ -382,156 +416,17 @@ let apply_delta t key d = write_entry t key (Kv.Entry.Delta [ d ])
 (* ---------------------------------------------------------------- *)
 (* Read path *)
 
-let find_in_level t i key =
-  if i = 0 then
-    (* L0 files overlap, so one key may have versions in several of them:
-       probe newest first, composing deltas until a base record (or
-       tombstone) settles the state *)
-    let files = List.sort (fun a b -> Int.compare b.age a.age) t.levels.(0) in
-    let rec go acc = function
-      | [] -> acc
-      | f :: rest -> (
-          match Sstable.Reader.get f.sst key with
-          | None -> go acc rest
-          | Some e -> (
-              let acc =
-                match acc with
-                | None -> Some e
-                | Some newer ->
-                    Some (Kv.Entry.merge t.config.resolver ~newer ~older:e)
-              in
-              match acc with
-              | Some (Kv.Entry.Base _ | Kv.Entry.Tombstone) -> acc
-              | _ -> go acc rest))
-    in
-    go None files
-  else
-    match
-      List.find_opt
-        (fun f ->
-          String.compare (Sstable.Reader.min_key f.sst) key <= 0
-          && String.compare key (Sstable.Reader.max_key f.sst) <= 0)
-        t.levels.(i)
-    with
-    | Some f -> Sstable.Reader.get f.sst key
-    | None -> None
+let get t key = Blsm.Read_chain.get t.chain key
 
-let lookup_entry t key =
-  let merge_opt acc e =
-    match acc with
-    | None -> Some e
-    | Some newer -> Some (Kv.Entry.merge t.config.resolver ~newer ~older:e)
-  in
-  let rec visit acc i =
-    if i >= t.config.max_levels then acc
-    else
-      match find_in_level t i key with
-      | None -> visit acc (i + 1)
-      | Some e -> (
-          let acc = merge_opt acc e in
-          match acc with
-          | Some (Kv.Entry.Base _ | Kv.Entry.Tombstone) -> acc
-          | _ -> visit acc (i + 1))
-  in
-  let start =
-    match Memtable.get t.mem key with
-    | Some (Kv.Entry.Base _ | Kv.Entry.Tombstone) as e -> `Stop e
-    | Some (Kv.Entry.Delta _ as d) -> `Continue (Some d)
-    | None -> `Continue None
-  in
-  match start with `Stop e -> e | `Continue acc -> visit acc 0
-
-let interpret t = function
-  | None -> None
-  | Some (Kv.Entry.Base v) -> Some v
-  | Some Kv.Entry.Tombstone -> None
-  | Some (Kv.Entry.Delta ds) -> Kv.Entry.resolve t.config.resolver ~base:None ds
-
-let get t key = interpret t (lookup_entry t key)
-
-let read_modify_write t key f = put t key (f (get t key))
+let read_modify_write t key f =
+  Blsm.Read_chain.read_modify_write t.chain key f ~write:(put t)
 
 (** LevelDB has no filters: the existence check pays the full multi-level
     probe — the paper's §5.2 complaint about checked bulk loads. *)
 let insert_if_absent t key value =
-  match get t key with
-  | Some _ -> false
-  | None ->
-      put t key value;
-      true
+  Blsm.Read_chain.insert_if_absent t.chain key value ~write:(put t)
 
-(* ---------------------------------------------------------------- *)
-(* Scans *)
-
-let mem_pull mem ~from =
-  let cursor = ref from in
-  fun () ->
-    match Memtable.peek_geq_lsn mem !cursor with
-    | Some (k, _, _) as r ->
-        cursor := k ^ "\000";
-        r
-    | None -> None
-
-let scan t start n =
-  let sources = ref [ (0, mem_pull t.mem ~from:start) ] in
-  let prio = ref 1 in
-  (* every L0 file is its own source *)
-  List.iter
-    (fun f ->
-      let it = Sstable.Reader.iterator ~from:start f.sst in
-      sources := (!prio, fun () -> Sstable.Reader.iter_next_full it) :: !sources;
-      incr prio)
-    (List.sort (fun a b -> Int.compare b.age a.age) t.levels.(0));
-  for i = 1 to t.config.max_levels - 1 do
-    if t.levels.(i) <> [] then begin
-      let files =
-        sort_by_min_key
-          (List.filter
-             (fun f -> String.compare (Sstable.Reader.max_key f.sst) start >= 0)
-             t.levels.(i))
-      in
-      let started = ref false in
-      let rest = ref files in
-      let it = ref None in
-      let rec pull () =
-        match !it with
-        | Some i -> (
-            match Sstable.Reader.iter_next_full i with
-            | Some r -> Some r
-            | None ->
-                it := None;
-                pull ())
-        | None -> (
-            match !rest with
-            | [] -> None
-            | f :: tl ->
-                rest := tl;
-                it :=
-                  Some
-                    (if !started then Sstable.Reader.iterator f.sst
-                     else begin
-                       started := true;
-                       Sstable.Reader.iterator ~from:start f.sst
-                     end);
-                pull ())
-      in
-      sources := (!prio, pull) :: !sources;
-      incr prio
-    end
-  done;
-  let merge =
-    Sstable.Merge_iter.create ~resolver:t.config.resolver ~drop_tombstones:true
-      (List.rev !sources)
-  in
-  let rec collect acc k =
-    if k = 0 then List.rev acc
-    else
-      match Sstable.Merge_iter.next merge with
-      | None -> List.rev acc
-      | Some (key, Kv.Entry.Base v, _) -> collect ((key, v) :: acc) (k - 1)
-      | Some _ -> assert false
-  in
-  collect [] n
+let scan t start n = Blsm.Read_chain.scan t.chain start n
 
 (* ---------------------------------------------------------------- *)
 

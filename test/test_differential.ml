@@ -1,6 +1,6 @@
 (* Differential testing: the same operation sequence driven through every
-   engine (bLSM spring/gear/naive, partitioned bLSM, B-Tree, LevelDB) must
-   produce identical results. The reference implementation is the DST
+   engine (bLSM spring/gear/naive, partitioned bLSM, B-Tree, LevelDB, the
+   four compaction policies) must produce identical results. The reference implementation is the DST
    harness's in-memory oracle ({!Dst.Oracle}) — the same model the
    simulation interpreter checks against — so a disagreement pinpoints
    the lying engine directly instead of only flagging a pair mismatch.
@@ -10,7 +10,9 @@
    write_batch (atomic where the engine supports it, emulated per-item
    where it does not — the result must agree either way). *)
 
-let driver_names = [ "blsm"; "blsm-gear"; "partitioned"; "btree"; "leveldb" ]
+let driver_names =
+  [ "blsm"; "blsm-gear"; "blsm-naive"; "partitioned"; "btree"; "leveldb";
+    "policy-tiered"; "policy-leveled"; "policy-lazy-leveled"; "policy-partial" ]
 
 type op =
   | Put of string * string

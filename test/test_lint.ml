@@ -183,39 +183,39 @@ let test_s001_tree () =
   check Alcotest.string "and it is the right module" "lib/nodoc/widget.ml"
     (List.hd fs).Lint.Finding.file
 
-(* The compaction-policy layer (ISSUE 9) must stay behind the same
-   walls as the rest of lib/core: Platter access is pagestore/simdisk
-   business (A001), and every policy module ships an interface (S001).
-   These pin the *config* — the whole-tree `@lint` alias enforces the
-   actual sources — so carving an exemption for the policy modules
-   fails a test, not just a review. *)
+(* The compaction-policy layer and the shared read chain / write front
+   must stay behind the same walls as the rest of lib/core: Platter
+   access is pagestore/simdisk business (A001), and every such module
+   ships an interface (S001). These pin the *config* — the whole-tree
+   `@lint` alias enforces the actual sources — so carving an exemption
+   for these modules fails a test, not just a review. *)
 
 let policy_modules =
   [ "lib/core/compaction_policy.ml"; "lib/core/policy_tree.ml" ]
 
-let test_policy_platter_walled () =
+let chain_modules = [ "lib/core/read_chain.ml"; "lib/core/write_front.ml" ]
+
+let test_platter_walled modules () =
   List.iter
     (fun path ->
       check slist
         (path ^ ": Platter references are flagged")
         [ "A001"; "A001"; "A001" ]
         (rules_of (lint ~path "a001_bad.ml")))
-    policy_modules
+    modules
 
-let test_policy_mli_required () =
-  (* without interfaces: one S001 per policy module *)
-  check Alcotest.int "policy modules without .mli are flagged"
-    (List.length policy_modules)
+let test_mli_required modules () =
+  (* without interfaces: one S001 per module *)
+  check Alcotest.int "modules without .mli are flagged"
+    (List.length modules)
     (List.length
-       (Lint.Runner.mli_findings ~config:Lint.Config.default policy_modules));
+       (Lint.Runner.mli_findings ~config:Lint.Config.default modules));
   (* with their .mli siblings present the set is clean *)
   check slist "with interfaces present, clean" []
     (rules_of
        (Lint.Runner.mli_findings ~config:Lint.Config.default
-          (policy_modules
-          @ List.map
-              (fun f -> Filename.remove_extension f ^ ".mli")
-              policy_modules)))
+          (modules
+          @ List.map (fun f -> Filename.remove_extension f ^ ".mli") modules)))
 
 let test_finding_format () =
   let f =
@@ -591,9 +591,13 @@ let () =
         [
           Alcotest.test_case "S001 tree" `Quick test_s001_tree;
           Alcotest.test_case "policy layer Platter-walled" `Quick
-            test_policy_platter_walled;
+            (test_platter_walled policy_modules);
           Alcotest.test_case "policy modules need .mli" `Quick
-            test_policy_mli_required;
+            (test_mli_required policy_modules);
+          Alcotest.test_case "read chain Platter-walled" `Quick
+            (test_platter_walled chain_modules);
+          Alcotest.test_case "read chain modules need .mli" `Quick
+            (test_mli_required chain_modules);
           Alcotest.test_case "finding format" `Quick test_finding_format;
         ] );
       ( "interproc",

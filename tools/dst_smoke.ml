@@ -7,7 +7,11 @@
    seed of each driver — executed a second time from scratch to assert
    the two reports are byte-identical (the determinism contract that
    makes seed replay meaningful). Any violation prints the failing
-   seed, shrinks it, and writes a repro JSON under dst/. *)
+   seed, shrinks it, and writes a repro JSON under dst/.
+
+   With --dump DIR every (driver, seed) report is also written to
+   DIR/<driver>_<seed>.txt, so two builds can be compared for same-seed
+   byte-identity with `diff -r`. *)
 
 let drivers =
   [ "blsm"; "blsm-gear"; "blsm-naive"; "partitioned"; "btree"; "leveldb";
@@ -17,6 +21,7 @@ let drivers =
 let () =
   let seeds = ref 5 in
   let steps = ref 0 in
+  let dump = ref None in
   let args = Array.to_list Sys.argv in
   let rec parse = function
     | "--seeds" :: n :: rest ->
@@ -25,10 +30,17 @@ let () =
     | "--steps" :: n :: rest ->
         steps := int_of_string n;
         parse rest
+    | "--dump" :: dir :: rest ->
+        dump := Some dir;
+        parse rest
     | _ :: rest -> parse rest
     | [] -> ()
   in
   parse args;
+  Option.iter
+    (fun dir ->
+      try Unix.mkdir dir 0o755 with Unix.Unix_error (EEXIST, _, _) -> ())
+    !dump;
   let params =
     if !steps > 0 then
       Some { Dst.Plan.default_params with Dst.Plan.n_steps = !steps }
@@ -46,6 +58,12 @@ let () =
         let plan, outcome = Dst.run_seed ?params ~driver_name:driver ~seed () in
         crashes := !crashes + outcome.Dst.Interp.crashes;
         if outcome.Dst.Interp.rot then incr rot_runs;
+        Option.iter
+          (fun dir ->
+            Out_channel.with_open_bin
+              (Filename.concat dir (Printf.sprintf "%s_%d.txt" driver seed))
+              (fun oc -> output_string oc outcome.Dst.Interp.report))
+          !dump;
         if not outcome.Dst.Interp.ok then begin
           incr failed;
           Printf.printf "FAIL driver=%s seed=%d violations:\n" driver seed;
