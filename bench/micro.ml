@@ -54,7 +54,10 @@ let test_bloom =
 
 let test_crc =
   let payload = String.make 4096 'x' in
-  Test.make ~name:"crc32c.4KiB (wal/page integrity)"
+  Test.make
+    ~name:
+      (Printf.sprintf "crc32c.4KiB [%s] (wal/page integrity)"
+         Repro_util.Crc32c.kernel)
     (Staged.stage (fun () -> ignore (Repro_util.Crc32c.string payload)))
 
 let test_entry_codec =

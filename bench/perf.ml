@@ -342,6 +342,9 @@ let write_json ~path ~kernels ~io_ok ~trace_noop_ok =
   out "  \"units\": \"ns_per_op\",\n";
   out "  \"io_invariance_ok\": %b,\n" io_ok;
   out "  \"trace_noop_ok\": %b,\n" trace_noop_ok;
+  (* The crc32c.4KiB baseline predates the hardware kernel: say which
+     kernel this run's number comes from. *)
+  out "  \"crc32c_kernel\": \"%s\",\n" Repro_util.Crc32c.kernel;
   out "  \"kernels\": [\n";
   let n = List.length kernels in
   List.iteri
@@ -475,6 +478,7 @@ let run ?(out = "BENCH_PR2.json") (s : Scale.t) =
       in
       Printf.printf "%-44s %12.1f ns/op%s\n" k.k_name k.k_ns base)
     kernels;
+  Printf.printf "crc32c kernel: %s\n" Repro_util.Crc32c.kernel;
   if not io_ok then
     Printf.printf
       "WARNING: warmed lookups charged simulated I/O (seeks=%d seq=%dB rand=%dB)\n"

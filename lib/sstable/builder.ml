@@ -38,6 +38,8 @@ type t = {
   (* previous key starting in the current page — the V2 prefix-compression
      reference; "" at a restart boundary *)
   mutable prev_key : string;
+  (* scratch for the record being added, reused across records *)
+  record : Buffer.t;
 }
 
 let create ?(format = Sst_format.V1) ?(extent_pages = 1024) store =
@@ -68,6 +70,7 @@ let create ?(format = Sst_format.V1) ?(extent_pages = 1024) store =
     current_page_first_key = None;
     current_page_last_key = "";
     prev_key = "";
+    record = Buffer.create 256;
   }
 
 let ensure_stream t =
@@ -131,7 +134,8 @@ let add ?(lsn = 0) t key entry =
      encoding: V2 prefix compression is relative to the previous key of
      the page the record actually starts in. *)
   if t.page_off >= t.page_size then flush_page t ~upcoming_cont:0;
-  let buf = Buffer.create 64 in
+  let buf = t.record in
+  Buffer.clear buf;
   (match t.format with
   | Sst_format.V1 -> Sst_format.encode_record buf key ~lsn entry
   | Sst_format.V2 ->
@@ -142,20 +146,19 @@ let add ?(lsn = 0) t key entry =
         else t.prev_key
       in
       Sst_format.encode_record_v2 buf ~prev key ~lsn entry);
-  let record = Buffer.contents buf in
-  t.data_bytes <- t.data_bytes + String.length record;
+  let len = Buffer.length buf in
+  t.data_bytes <- t.data_bytes + len;
   t.n_starts <- t.n_starts + 1;
   if t.current_page_first_key = None then t.current_page_first_key <- Some key;
   t.current_page_last_key <- key;
   t.prev_key <- key;
-  let len = String.length record in
   let off = ref 0 in
   while !off < len do
     let space = t.page_size - t.page_off in
     if space = 0 then flush_page t ~upcoming_cont:(len - !off)
     else begin
       let n = min space (len - !off) in
-      Bytes.blit_string record !off t.page_buf t.page_off n;
+      Buffer.blit buf !off t.page_buf t.page_off n;
       t.page_off <- t.page_off + n;
       off := !off + n
     end

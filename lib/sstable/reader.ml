@@ -322,32 +322,42 @@ let next_record bs =
   | 0 ->
       release bs;
       None
-  | body_len -> (
-      (* The varint promised [body_len] more bytes; running out of data
-         pages mid-record means the file is truncated.  Surface that as
-         typed corruption — End_of_component is the internal
-         record-boundary protocol and must never escape the reader
-         (rule E001: it would cross the driver / replication boundaries
-         as an unhandled exception instead of a corruption answer). *)
-      let body =
-        match read_string bs body_len with
-        | exception End_of_component ->
-            raise
-              (Sst_format.Corrupt
-                 {
-                   what =
-                     "sstable truncated mid-record (data pages end inside \
-                      a record body)";
-                   page = bs.bpos;
-                 })
-        | body -> body
+  | body_len ->
+      let version = bs.reader.footer.Sst_format.version in
+      let ((k, _, _) as r) =
+        if body_len <= bs.limit - bs.off then begin
+          (* The body lies wholly in this page: decode it in place. *)
+          let pos = bs.off in
+          bs.off <- pos + body_len;
+          Sst_format.decode_body_at version ~prev:bs.prev bs.buf pos
+            ~len:body_len
+        end
+        else
+          (* The body spans pages: copy it out. The varint promised
+             [body_len] more bytes; running out of data pages mid-record
+             means the file is truncated. Surface that as typed
+             corruption — End_of_component is the internal
+             record-boundary protocol and must never escape the reader
+             (rule E001: it would cross the driver / replication
+             boundaries as an unhandled exception instead of a corruption
+             answer). *)
+          let body =
+            match read_string bs body_len with
+            | exception End_of_component ->
+                raise
+                  (Sst_format.Corrupt
+                     {
+                       what =
+                         "sstable truncated mid-record (data pages end \
+                          inside a record body)";
+                       page = bs.bpos;
+                     })
+            | body -> body
+          in
+          Sst_format.decode_body_at version ~prev:bs.prev body 0 ~len:body_len
       in
-      match bs.reader.footer.Sst_format.version with
-      | Sst_format.V1 -> Some (Sst_format.decode_body body)
-      | Sst_format.V2 ->
-          let ((k, _, _) as r) = Sst_format.decode_body_v2 ~prev:bs.prev body in
-          bs.prev <- k;
-          Some r)
+      bs.prev <- k;
+      Some r
 
 (** {1 Iterators} *)
 
@@ -784,25 +794,24 @@ let verify t =
     Pagestore.Store.read_page_direct t.store id buf;
     if id = !last + 1 then Simdisk.Disk.seq_read disk ~bytes:psz
     else Simdisk.Disk.seek_read disk ~bytes:psz;
-    last := id;
-    Bytes.to_string buf
+    last := id
   in
   let errors = ref [] in
   for pos = 0 to f.Sst_format.data_pages - 1 do
-    let page = read_raw pos in
-    if not (Sst_format.page_ok page) then
+    read_raw pos;
+    if not (Sst_format.page_ok_bytes buf) then
       errors := ("data page checksum", t.pages.(pos)) :: !errors
   done;
+  (* Fold each blob page into a running CRC as it is read: no blob copy. *)
   let check_blob ~what ~start ~pages ~bytes ~crc =
     if pages > 0 then begin
-      let b = Buffer.create (pages * psz) in
-      for pos = start to start + pages - 1 do
-        Buffer.add_string b (read_raw pos)
+      let c = ref 0xFFFFFFFF in
+      for i = 0 to pages - 1 do
+        read_raw (start + i);
+        let n = max 0 (min psz (bytes - (i * psz))) in
+        c := Repro_util.Crc32c.update !c (Bytes.unsafe_to_string buf) 0 n
       done;
-      let ok =
-        Buffer.length b >= bytes
-        && Repro_util.Crc32c.string (Buffer.sub b 0 bytes) = crc
-      in
+      let ok = pages * psz >= bytes && !c lxor 0xFFFFFFFF = crc in
       if not ok then errors := (what, t.pages.(start)) :: !errors
     end
   in

@@ -61,19 +61,14 @@ let stored_page_crc s =
   lor (Char.code s.[crc_offset + 2] lsl 16)
   lor (Char.code s.[crc_offset + 3] lsl 24)
 
-(** [page_ok s] checks a data page's checksum. *)
-let page_ok s = page_crc s = stored_page_crc s
+(** [page_ok_bytes b] checks a data page's checksum, reading the buffer
+    in place (it is aliased only for the duration of the fold). *)
+let page_ok_bytes b =
+  let s = Bytes.unsafe_to_string b in
+  page_crc s = stored_page_crc s
 
-(** [verify_page s ~page] raises {!Corrupt} on checksum mismatch,
+(** [verify_page_bytes b ~page] raises {!Corrupt} on checksum mismatch,
     reporting [page] (the platter page id). *)
-let verify_page s ~page =
-  if not (page_ok s) then raise (Corrupt { what = "data page checksum"; page })
-
-(** [page_ok_bytes b] is {!page_ok} on a byte buffer without copying it
-    out (the buffer is aliased only for the duration of the fold). *)
-let page_ok_bytes b = page_ok (Bytes.unsafe_to_string b)
-
-(** [verify_page_bytes b ~page] is {!verify_page} without the copy. *)
 let verify_page_bytes b ~page =
   if not (page_ok_bytes b) then
     raise (Corrupt { what = "data page checksum"; page })
@@ -152,57 +147,75 @@ let shared_prefix_len a b =
   done;
   !i
 
+(* The body length is known before any byte is written (every field's
+   size is arithmetic), so both encoders write the framed record straight
+   into [buf]: no body buffer, no copy. *)
+
 (** [encode_record buf key ~lsn entry] appends one framed record. *)
 let encode_record buf key ~lsn entry =
-  let body = Buffer.create (String.length key + 16) in
-  Repro_util.Varint.write body (String.length key);
-  Buffer.add_string body key;
-  Repro_util.Varint.write body lsn;
-  Kv.Entry.encode body entry;
-  Repro_util.Varint.write buf (Buffer.length body);
-  Buffer.add_buffer buf body
-
-(** [decode_body s] parses a record body into [(key, entry, lsn)]. *)
-let decode_body s =
-  let key_len, pos = Repro_util.Varint.read s 0 in
-  let key = String.sub s pos key_len in
-  let lsn, pos = Repro_util.Varint.read s (pos + key_len) in
-  let entry, _ = Kv.Entry.decode s pos in
-  (key, entry, lsn)
+  let open Repro_util in
+  let klen = String.length key in
+  Varint.write buf
+    (Varint.size klen + klen + Varint.size lsn + Kv.Entry.encoded_size entry);
+  Varint.write buf klen;
+  Buffer.add_string buf key;
+  Varint.write buf lsn;
+  Kv.Entry.encode buf entry
 
 (** [encode_record_v2 buf ~prev key ~lsn entry] appends one framed V2
     record. [prev] is the key of the previous record starting in the same
     page — pass [""] to force a restart (full key stored). *)
 let encode_record_v2 buf ~prev key ~lsn entry =
+  let open Repro_util in
   let shared = shared_prefix_len prev key in
-  let body = Buffer.create (String.length key + 16) in
-  Repro_util.Varint.write body shared;
-  Repro_util.Varint.write body (String.length key - shared);
-  Buffer.add_substring body key shared (String.length key - shared);
-  Repro_util.Varint.write body lsn;
-  Kv.Entry.encode body entry;
-  Repro_util.Varint.write buf (Buffer.length body);
-  Buffer.add_buffer buf body
+  let suffix_len = String.length key - shared in
+  Varint.write buf
+    (Varint.size shared + Varint.size suffix_len + suffix_len
+    + Varint.size lsn + Kv.Entry.encoded_size entry);
+  Varint.write buf shared;
+  Varint.write buf suffix_len;
+  Buffer.add_substring buf key shared suffix_len;
+  Varint.write buf lsn;
+  Kv.Entry.encode buf entry
 
-(** [decode_body_v2 ~prev s] parses a V2 record body, reconstructing the
-    key from [prev]'s first [shared] bytes plus the stored suffix. *)
-let decode_body_v2 ~prev s =
-  let shared, pos = Repro_util.Varint.read s 0 in
-  let suffix_len, pos = Repro_util.Varint.read s pos in
-  let key =
-    if shared = 0 then String.sub s pos suffix_len
-    else begin
-      if shared > String.length prev then
-        raise (Corrupt { what = "shared prefix exceeds previous key"; page = -1 });
-      let b = Bytes.create (shared + suffix_len) in
-      Bytes.blit_string prev 0 b 0 shared;
-      Bytes.blit_string s pos b shared suffix_len;
-      Bytes.unsafe_to_string b
-    end
+(** [decode_body_at version ~prev s pos ~len] parses the record body at
+    [s.[pos .. pos+len-1]] into [(key, entry, lsn)], reading the fields in
+    place. [prev] is the V2 prefix-compression reference (ignored by V1).
+    Raises {!Corrupt} unless the fields end exactly at [pos + len], or
+    when a V2 shared prefix exceeds [prev]. *)
+let decode_body_at version ~prev s pos ~len =
+  let overrun () =
+    raise (Corrupt { what = "record fields overrun body length"; page = -1 })
   in
-  let lsn, pos = Repro_util.Varint.read s (pos + suffix_len) in
-  let entry, _ = Kv.Entry.decode s pos in
-  (key, entry, lsn)
+  let stop = pos + len in
+  try
+    let key, p =
+      match version with
+      | V1 ->
+          let klen, p = Repro_util.Varint.read s pos in
+          if klen > stop - p then overrun ();
+          (String.sub s p klen, p + klen)
+      | V2 ->
+          let shared, p = Repro_util.Varint.read s pos in
+          let suffix_len, p = Repro_util.Varint.read s p in
+          if suffix_len > stop - p then overrun ();
+          if shared = 0 then (String.sub s p suffix_len, p + suffix_len)
+          else begin
+            if shared > String.length prev then
+              raise
+                (Corrupt
+                   { what = "shared prefix exceeds previous key"; page = -1 });
+            let b = Bytes.create (shared + suffix_len) in
+            Bytes.blit_string prev 0 b 0 shared;
+            Bytes.blit_string s p b shared suffix_len;
+            (Bytes.unsafe_to_string b, p + suffix_len)
+          end
+    in
+    let lsn, p = Repro_util.Varint.read s p in
+    let entry, p = Kv.Entry.decode s p in
+    if p <> stop then overrun ();
+    (key, entry, lsn)
+  with Invalid_argument _ -> overrun ()
 
 (** {1 Fence pointers}
 
@@ -447,7 +460,9 @@ let decode_footer s =
       body_end, stored_crc )
   with
   | footer, body_end, stored_crc ->
-      if Repro_util.Crc32c.string (String.sub s 0 body_end) <> stored_crc then
+      if Repro_util.Crc32c.update 0xFFFFFFFF s 0 body_end lxor 0xFFFFFFFF
+         <> stored_crc
+      then
         raise (Corrupt { what = "footer checksum"; page = -1 });
       footer
   | exception Invalid_argument _ ->

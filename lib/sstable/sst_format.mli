@@ -19,18 +19,12 @@ val payload_capacity : page_size:int -> int
     payload final). *)
 val seal_page : Bytes.t -> unit
 
-(** [page_ok s] checks a data page's checksum. *)
-val page_ok : string -> bool
-
-(** [verify_page s ~page] raises {!Corrupt} on mismatch, reporting
-    [page]. *)
-val verify_page : string -> page:int -> unit
-[@@lint.allow "U001"] (* copying variant kept beside [verify_page_bytes] *)
-
-(** {!page_ok} on a byte buffer without copying it out. *)
+(** [page_ok_bytes b] checks a data page's checksum without copying the
+    buffer. *)
 val page_ok_bytes : Bytes.t -> bool
 
-(** {!verify_page} without the copy. *)
+(** [verify_page_bytes b ~page] raises {!Corrupt} on mismatch, reporting
+    [page]. *)
 val verify_page_bytes : Bytes.t -> page:int -> unit
 
 (** [record_starts b] derives the in-page restart points (payload offset
@@ -58,19 +52,21 @@ val shared_prefix_len : string -> string -> int
 (** [encode_record buf key ~lsn entry] appends one framed record. *)
 val encode_record : Buffer.t -> string -> lsn:int -> Kv.Entry.t -> unit
 
-(** [decode_body s] parses a record body: [(key, entry, lsn)]. *)
-val decode_body : string -> string * Kv.Entry.t * int
-
 (** [encode_record_v2 buf ~prev key ~lsn entry] appends one framed V2
     record; [prev] is the previous key starting in the same page ([""]
     forces a restart). *)
 val encode_record_v2 :
   Buffer.t -> prev:string -> string -> lsn:int -> Kv.Entry.t -> unit
 
-(** [decode_body_v2 ~prev s] parses a V2 body, reconstructing the key
-    from [prev]'s shared prefix plus the stored suffix. Raises
-    {!Corrupt} if the shared length exceeds [prev] (rotted varint). *)
-val decode_body_v2 : prev:string -> string -> string * Kv.Entry.t * int
+(** [decode_body_at version ~prev s pos ~len] parses the record body
+    occupying [len] bytes of [s] at [pos], in place: [(key, entry, lsn)].
+    V2 keys are rebuilt from [prev]'s shared prefix plus the stored
+    suffix ([prev] is ignored under V1). Raises {!Corrupt} unless the
+    fields end exactly at [pos + len], or when the shared length exceeds
+    [prev] (rotted varint). *)
+val decode_body_at :
+  version -> prev:string -> string -> int -> len:int ->
+  string * Kv.Entry.t * int
 
 (** Per-table fence pointers: the page index in RAM, laid out in
     Eytzinger (BFS) order so the page-locating floor search walks a

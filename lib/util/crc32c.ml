@@ -1,17 +1,23 @@
-(** CRC32C (Castagnoli) checksums, table-slicing kernel.
+(** CRC32C (Castagnoli) checksums.
 
     Page headers and log records carry a CRC so that recovery can detect
     torn writes, mirroring the checks Stasis performs for bLSM (§4.4.2).
 
-    The classic one-table loop is bound by its serial dependency chain:
-    every byte's table lookup waits on the previous byte's result. The
-    slicing construction (Intel's slice-by-8, here unrolled to a 16-byte
-    stride over 16 derived tables) folds whole blocks per iteration: only
-    the first four lookups depend on the running state, the rest index
-    straight off input bytes, so the CPU overlaps them. A byte-at-a-time
-    loop remains for unaligned tails and keeps the old behaviour exactly
-    (validated against the standard vectors and the bytewise reference in
-    the test suite). *)
+    Two kernels compute the same function. On x86-64 CPUs with SSE4.2,
+    {!update} calls the [crc32] instruction through a C stub
+    ([crc32c_stubs.c]), eight bytes per step. Elsewhere it runs a
+    table-slicing loop in OCaml. The CPU is checked once, when this
+    module is initialised.
+
+    The table kernel: the classic one-table loop is bound by its serial
+    dependency chain, since every byte's table lookup waits on the
+    previous byte's result. The slicing construction (Intel's
+    slice-by-8, here unrolled to a 16-byte stride over 16 derived
+    tables) folds whole blocks per iteration: only the first four
+    lookups depend on the running state, the rest index straight off
+    input bytes, so the CPU overlaps them. A byte-at-a-time loop remains
+    for unaligned tails. The test suite holds both kernels to the
+    standard vectors and a bit-at-a-time reference. *)
 
 let polynomial = 0x82F63B78 (* reflected CRC32C polynomial *)
 
@@ -39,12 +45,15 @@ let tables =
      done;
      t)
 
-(** [update crc s pos len] folds [len] bytes of [s] starting at [pos] into
-    a running checksum. Start from [0xFFFFFFFF]-complemented state via
-    {!string} unless composing incrementally. *)
-let update crc s pos len =
-  if pos < 0 || len < 0 || pos + len > String.length s then
-    invalid_arg "Crc32c.update";
+(* Written so that no sum can overflow: the C stub trusts these bounds. *)
+let check_bounds s pos len =
+  if pos < 0 || len < 0 || len > String.length s - pos then
+    invalid_arg "Crc32c.update"
+
+(** [table_update crc s pos len] is {!update} on the table kernel,
+    whatever the CPU. *)
+let table_update crc s pos len =
+  check_bounds s pos len;
   let tab = Lazy.force tables in
   let crc = ref (crc land 0xFFFFFFFF) in
   let i = ref pos in
@@ -116,6 +125,29 @@ let update crc s pos len =
     incr i
   done;
   !crc
+
+external hw_available : unit -> bool = "repro_crc32c_hw_available"
+[@@noalloc]
+
+(* The stub reads [len] bytes at [pos] without checking: callers check. *)
+external hw_update :
+  (int[@untagged]) -> string -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) = "repro_crc32c_hw_update_byte" "repro_crc32c_hw_update"
+[@@noalloc]
+
+let hardware = hw_available ()
+
+let kernel = if hardware then "sse4.2" else "slice-by-16"
+
+(** [update crc s pos len] folds [len] bytes of [s] starting at [pos] into
+    a running checksum. Start from [0xFFFFFFFF]-complemented state via
+    {!string} unless composing incrementally. *)
+let update crc s pos len =
+  if hardware then begin
+    check_bounds s pos len;
+    hw_update (crc land 0xFFFFFFFF) s pos len
+  end
+  else table_update crc s pos len
 
 (** [string s] is the CRC32C of the whole string. *)
 let string s =

@@ -468,10 +468,10 @@ let v2_roundtrip_one ~prev key entry lsn =
   let s = Buffer.contents buf in
   let body_len, off = read_varint s 0 in
   if off + body_len <> String.length s then failwith "framing length mismatch";
-  Sstable.Sst_format.decode_body_v2 ~prev (String.sub s off body_len)
+  Sstable.Sst_format.decode_body_at V2 ~prev s off ~len:body_len
 
 let prop_v2_body_roundtrip =
-  (* encode_record_v2/decode_body_v2 over a tiny alphabet so shared
+  (* encode_record_v2/decode_body_at over a tiny alphabet so shared
      prefixes of every length (0 .. full key) occur, empty strings
      included. *)
   let gen =
@@ -508,9 +508,235 @@ let test_v2_prefix_edge_cases () =
     (Kv.Entry.Base "v");
   let s = Buffer.contents buf in
   let body_len, off = read_varint s 0 in
-  match Sstable.Sst_format.decode_body_v2 ~prev:"ab" (String.sub s off body_len) with
+  match Sstable.Sst_format.decode_body_at V2 ~prev:"ab" s off ~len:body_len with
   | exception Sstable.Sst_format.Corrupt _ -> ()
   | _ -> Alcotest.fail "oversized shared length not detected"
+
+(* ---- copy-free record encode/decode --------------------------------- *)
+
+(* The seed's two-buffer encoders, kept as the reference: the body goes
+   into its own buffer first, then its length and the body into [buf].
+   The in-place encoders must write exactly these bytes. *)
+let ref_shared_prefix a b =
+  let n = min (String.length a) (String.length b) in
+  let rec go i = if i < n && Char.equal a.[i] b.[i] then go (i + 1) else i in
+  go 0
+
+let ref_encode ~format ~prev key ~lsn entry =
+  let module V = Repro_util.Varint in
+  let body = Buffer.create 16 in
+  (match (format : Sstable.Sst_format.version) with
+  | V1 ->
+      V.write body (String.length key);
+      Buffer.add_string body key
+  | V2 ->
+      let shared = ref_shared_prefix prev key in
+      V.write body shared;
+      V.write body (String.length key - shared);
+      Buffer.add_substring body key shared (String.length key - shared));
+  V.write body lsn;
+  Kv.Entry.encode body entry;
+  let buf = Buffer.create 64 in
+  V.write buf (Buffer.length body);
+  Buffer.add_buffer buf body;
+  Buffer.contents buf
+
+let encode ~format ~prev key ~lsn entry =
+  let buf = Buffer.create 64 in
+  (match (format : Sstable.Sst_format.version) with
+  | V1 -> Sstable.Sst_format.encode_record buf key ~lsn entry
+  | V2 -> Sstable.Sst_format.encode_record_v2 buf ~prev key ~lsn entry);
+  Buffer.contents buf
+
+let varint_edges = [ 0; 1; 126; 127; 128; 129; 16382; 16383; 16384; 16385 ]
+
+let prop_encode_bytes_unchanged =
+  let open QCheck.Gen in
+  let len = oneof [ oneofl varint_edges; 0 -- 300 ] in
+  let str n = string_size ~gen:char (return n) in
+  let key =
+    oneof
+      [ string_size ~gen:(oneofl [ 'a'; 'b' ]) (0 -- 12);
+        (oneofl [ 127; 128; 129 ] >>= str) ]
+  in
+  let entry =
+    frequency
+      [ (1, return Kv.Entry.Tombstone);
+        (3, map (fun v -> Kv.Entry.Base v) (len >>= str));
+        (2, map (fun ds -> Kv.Entry.Delta ds) (list_size (2 -- 4) (len >>= str)))
+      ]
+  in
+  let lsn =
+    oneof
+      [ oneofl [ 0; 1; 127; 128; 16383; 16384; 2097151; 2097152 ];
+        int_bound (1 lsl 40) ]
+  in
+  QCheck.Test.make ~name:"in-place encoders = two-buffer reference" ~count:500
+    (QCheck.make
+       ~print:(fun (prev, k, lsn, e) ->
+         Format.asprintf "prev=%S key=%S lsn=%d %a" prev k lsn Kv.Entry.pp e)
+       (quad key key lsn entry))
+    (fun (prev, key, lsn, entry) ->
+      List.for_all
+        (fun format ->
+          String.equal
+            (encode ~format ~prev key ~lsn entry)
+            (ref_encode ~format ~prev key ~lsn entry))
+        [ Sstable.Sst_format.V1; V2 ])
+
+(* Sweep value lengths so the body-length varint itself crosses both of
+   its size boundaries (127/128 and 16383/16384), in both formats. *)
+let test_encode_body_len_edges () =
+  List.iter
+    (fun format ->
+      let seen = Hashtbl.create 256 in
+      let sweep lo hi =
+        for vlen = lo to hi do
+          let entry = Kv.Entry.Base (String.make vlen 'v') in
+          let got = encode ~format ~prev:"key00" "key0042" ~lsn:5 entry in
+          check Alcotest.string
+            (Printf.sprintf "vlen %d" vlen)
+            (ref_encode ~format ~prev:"key00" "key0042" ~lsn:5 entry)
+            got;
+          Hashtbl.replace seen (fst (Repro_util.Varint.read got 0)) ()
+        done
+      in
+      sweep 90 140;
+      sweep 16340 16390;
+      List.iter
+        (fun b ->
+          if not (Hashtbl.mem seen b) then
+            Alcotest.failf "body length %d never produced" b)
+        [ 127; 128; 16383; 16384 ])
+    [ Sstable.Sst_format.V1; V2 ]
+
+(* Fields that end before or after the declared body length are
+   corruption, whether the bytes after the body are readable (in-page
+   decode) or not (a copied-out body). *)
+let test_decode_overrun_is_corrupt () =
+  let expect_corrupt what f =
+    match f () with
+    | exception Sstable.Sst_format.Corrupt _ -> ()
+    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+    | _ -> Alcotest.failf "%s: decoded" what
+  in
+  List.iter
+    (fun format ->
+      let s =
+        encode ~format ~prev:"" "key0042" ~lsn:9
+          (Kv.Entry.Base (String.make 300 'v'))
+        ^ "trailing bytes of the next record"
+      in
+      let body_len, off = Repro_util.Varint.read s 0 in
+      let decode s ~len () =
+        Sstable.Sst_format.decode_body_at format ~prev:"" s off ~len
+      in
+      let k, _, lsn = decode s ~len:body_len () in
+      check Alcotest.string "intact key" "key0042" k;
+      check Alcotest.int "intact lsn" 9 lsn;
+      expect_corrupt "short length, in page" (decode s ~len:(body_len - 1));
+      expect_corrupt "long length, in page" (decode s ~len:(body_len + 1));
+      expect_corrupt "short length, copied body"
+        (decode (String.sub s 0 (off + body_len - 1)) ~len:(body_len - 1));
+      (* a key length far past the body *)
+      let huge = Bytes.of_string s in
+      Bytes.set huge off '\xff';
+      Bytes.set huge (off + 1) '\x7f';
+      expect_corrupt "huge key length"
+        (decode (Bytes.to_string huge) ~len:body_len))
+    [ Sstable.Sst_format.V1; V2 ]
+
+(* A component of 1000 B records in 4 KiB pages whose layout puts records
+   on every boundary the reader handles: a body that lies wholly in a
+   page and ends exactly at its end, a body-length varint that ends
+   exactly at a page end, and one split across two pages. Keys start
+   with distinct bytes, so V2 never shares a prefix and a record's framed
+   length does not depend on its neighbour. *)
+let boundary_records ~format ~page_size =
+  let payload = Sstable.Sst_format.payload_capacity ~page_size in
+  let off = ref 0 (* stream offset of the next record *) in
+  let framed k vlen =
+    String.length
+      (encode ~format ~prev:"" k ~lsn:0 (Kv.Entry.Base (String.make vlen 'v')))
+  in
+  List.init 24 (fun i ->
+      let k = Printf.sprintf "%c-key%04d" (Char.chr (Char.code 'A' + i)) i in
+      (* residue of the stream offset just past this record *)
+      let want =
+        match i with
+        | 5 -> Some 0 (* body ends at the page end *)
+        | 11 -> Some (payload - 2) (* next 2-byte varint ends at page end *)
+        | 17 -> Some (payload - 1) (* next varint split across pages *)
+        | _ -> None
+      in
+      let rec pick vlen =
+        match want with
+        | Some r when (!off + framed k vlen) mod payload <> r -> pick (vlen + 1)
+        | _ -> vlen
+      in
+      let vlen = pick 1000 in
+      if i = 5 && !off / payload <> (!off + framed k vlen - 1) / payload then
+        Alcotest.fail "layout: record 5 does not lie in one page";
+      off := !off + framed k vlen;
+      (k, Kv.Entry.Base (String.init vlen (fun j -> Char.chr ((i + j) land 0xff)))))
+
+let test_reader_page_boundaries () =
+  let page_size = 4096 in
+  List.iter
+    (fun format ->
+      let store = mk_store ~page_size ~buffer_pages:4 () in
+      let records = boundary_records ~format ~page_size in
+      let sst = build store ~format ~extent_pages:64 records in
+      (* The builder laid the records out contiguously across the page
+         payloads, so the boundaries planned above are the real ones. *)
+      let footer = Sstable.Reader.footer sst in
+      let stream = Buffer.create (64 * page_size) in
+      let page = Bytes.create page_size in
+      let first = fst (List.hd footer.Sstable.Sst_format.extents) in
+      for p = 0 to footer.Sstable.Sst_format.data_pages - 1 do
+        Pagestore.Store.read_page_direct store (first + p) page;
+        Buffer.add_subbytes stream page Sstable.Sst_format.header_bytes
+          (page_size - Sstable.Sst_format.header_bytes)
+      done;
+      let expected =
+        String.concat ""
+          (List.map
+             (fun (k, e) -> encode ~format ~prev:"" k ~lsn:0 e)
+             records)
+      in
+      check Alcotest.string "page payloads"
+        expected
+        (Buffer.sub stream 0 (String.length expected));
+      let same what got =
+        check Alcotest.int (what ^ " count") (List.length records)
+          (List.length got);
+        List.iter2
+          (fun (k, e) (k', e') ->
+            check Alcotest.string (what ^ " key") k k';
+            check entry_testable (what ^ " " ^ k) e e')
+          records got
+      in
+      same "streaming" (records_of_iter (Sstable.Reader.iterator sst));
+      same "cached" (records_of_iter (Sstable.Reader.cached_iterator sst));
+      List.iter
+        (fun (k, e) ->
+          check (Alcotest.option entry_testable) ("get " ^ k) (Some e)
+            (Sstable.Reader.get sst k))
+        records;
+      (* Declare the first record's body one byte shorter than its fields
+         and reseal the page: the in-place decode must report corruption. *)
+      Pagestore.Store.with_page_mut store first (fun b ->
+          let h = Sstable.Sst_format.header_bytes in
+          let len, _ = Repro_util.Varint.read_bytes b h in
+          Bytes.set b h (Char.chr (0x80 lor ((len - 1) land 0x7f)));
+          Bytes.set b (h + 1) (Char.chr ((len - 1) lsr 7));
+          Sstable.Sst_format.seal_page b);
+      match records_of_iter (Sstable.Reader.cached_iterator sst) with
+      | exception Sstable.Sst_format.Corrupt _ -> ()
+      | exception e ->
+          Alcotest.failf "overrun raised %s" (Printexc.to_string e)
+      | _ -> Alcotest.fail "overrun decoded")
+    [ Sstable.Sst_format.V1; V2 ]
 
 let test_v2_build_and_get () =
   let store = mk_store () in
@@ -772,6 +998,13 @@ let () =
           Alcotest.test_case "iterate from" `Quick test_v2_iteration_from;
           Alcotest.test_case "reopen from meta" `Quick test_v2_reopen_from_meta;
           Alcotest.test_case "prefix edge cases" `Quick test_v2_prefix_edge_cases;
+          QCheck_alcotest.to_alcotest prop_encode_bytes_unchanged;
+          Alcotest.test_case "body length edges" `Quick
+            test_encode_body_len_edges;
+          Alcotest.test_case "decode overrun corrupt" `Quick
+            test_decode_overrun_is_corrupt;
+          Alcotest.test_case "reader page boundaries" `Quick
+            test_reader_page_boundaries;
           Alcotest.test_case "zone map miss zero io" `Quick
             test_v2_zone_map_miss_zero_io;
           Alcotest.test_case "scan zone skip bytes" `Quick

@@ -107,10 +107,10 @@ let test_crc_bytes_slice () =
     (Crc32c.string "cdef")
     (Crc32c.bytes (Bytes.of_string s) 2 4)
 
-(* The table-slicing kernel folds 16 bytes per iteration with an 8-byte
-   step and a bytewise tail; every length from 0 to a few strides
-   exercises each alignment of the three regimes. Check them all against
-   an independent bit-at-a-time CRC32C. *)
+(* The hardware kernel folds 8 bytes per step, the table kernel 16 with
+   an 8-byte step; both end in a bytewise tail. Every length from 0 to a
+   few strides exercises each alignment of these regimes. Check them all
+   against an independent bit-at-a-time CRC32C. *)
 let crc_reference s =
   let poly = 0x82F63B78 in
   let crc = ref 0xFFFFFFFF in
@@ -153,6 +153,60 @@ let test_crc_standard_vectors () =
     (Crc32c.string (String.make 32 '\xff'));
   check Alcotest.int "ascending" 0x46DD794E
     (Crc32c.string (String.init 32 Char.chr))
+
+(* Every slice of a random string, through both kernels and as two
+   pieces, against the bit-at-a-time reference. Lengths are drawn mostly
+   short so empty slices, 1-15-byte tails and unaligned starts all occur;
+   the longer draws cross several 8- and 16-byte strides. *)
+let prop_crc_kernels_agree =
+  let gen =
+    QCheck.Gen.(
+      let* n = oneof [ 0 -- 40; 0 -- 600 ] in
+      let* s = string_size ~gen:char (return n) in
+      let* pos = 0 -- n in
+      let* len = 0 -- (n - pos) in
+      let* cut = 0 -- len in
+      return (s, pos, len, cut))
+  in
+  QCheck.Test.make ~name:"crc32c kernels = bitwise reference" ~count:2000
+    (QCheck.make
+       ~print:(fun (s, pos, len, cut) ->
+         Printf.sprintf "len(s)=%d pos=%d len=%d cut=%d" (String.length s) pos
+           len cut)
+       gen)
+    (fun (s, pos, len, cut) ->
+      let expect = crc_reference (String.sub s pos len) in
+      let fin c = c lxor 0xFFFFFFFF in
+      let two_piece =
+        let c = Crc32c.update 0xFFFFFFFF s pos cut in
+        fin (Crc32c.update c s (pos + cut) (len - cut))
+      in
+      fin (Crc32c.update 0xFFFFFFFF s pos len) = expect
+      && fin (Crc32c.table_update 0xFFFFFFFF s pos len) = expect
+      && two_piece = expect)
+
+(* A silent fallback to the table kernel would keep every checksum right
+   and only cost speed, so pin the selection itself: where the kernel
+   lists SSE4.2 among the CPU flags, [update] must run the instruction. *)
+let test_crc_hardware_selected () =
+  let cpu_flags =
+    match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+    | exception Sys_error _ -> []
+    | info ->
+        String.split_on_char '\n' info
+        |> List.filter (fun l -> String.starts_with ~prefix:"flags" l)
+        |> List.concat_map (String.split_on_char ' ')
+  in
+  if Sys.word_size = 64 && List.mem "sse4_2" cpu_flags then
+    check Alcotest.string "kernel" "sse4.2" Crc32c.kernel
+
+let test_crc_bounds_checked () =
+  List.iter
+    (fun (pos, len) ->
+      match Crc32c.update 0xFFFFFFFF "abcdefgh" pos len with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "slice pos=%d len=%d accepted" pos len)
+    [ (-1, 2); (0, -1); (0, 9); (5, 4); (9, 0); (1, max_int) ]
 
 (* -------------------------------------------------------------------- *)
 (* Histogram *)
@@ -487,6 +541,10 @@ let () =
           Alcotest.test_case "incremental compose" `Quick
             test_crc_incremental_compose;
           Alcotest.test_case "standard vectors" `Quick test_crc_standard_vectors;
+          QCheck_alcotest.to_alcotest prop_crc_kernels_agree;
+          Alcotest.test_case "hardware selected" `Quick
+            test_crc_hardware_selected;
+          Alcotest.test_case "bounds checked" `Quick test_crc_bounds_checked;
         ] );
       ( "histogram",
         [
