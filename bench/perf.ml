@@ -71,7 +71,8 @@ let crc_kernel ~repeats ~iters =
 (* Warmed point lookup: every page of a 10k-record component fits in the
    pool, so after warmup each get is pure CPU — fence search, one pool
    hit, in-page record search. This is the paper's "one seek" path with
-   the seek already paid (§3.1.1). Returns (ns/op, io_diff). *)
+   the seek already paid (§3.1.1). Returns (ns/op, io_diff, minor words
+   per get). *)
 let lookup_records = 10_000
 
 let lookup_key i = Printf.sprintf "key%08d" (i * 7919 mod lookup_records)
@@ -103,14 +104,16 @@ let lookup_kernel ?format ~repeats ~iters () =
         | Some _ -> ()
         | None -> failwith "perf: warmed lookup missed")
   in
-  (* Cost-model probe: warmed lookups must charge zero simulated I/O. *)
+  (* Cost-model probe: warmed lookups must charge zero simulated I/O.
+     The same loop counts their allocation (keys are built beforehand). *)
   let disk = Pagestore.Store.disk store in
   let before = Simdisk.Disk.snapshot disk in
-  for j = 1 to 1000 do
-    ignore (Sstable.Reader.get sst (lookup_key j))
-  done;
+  let probes = Array.init 1000 (fun j -> lookup_key (j + 1)) in
+  let words0 = Gc.minor_words () in
+  Array.iter (fun k -> ignore (Sstable.Reader.get sst k)) probes;
+  let words = (Gc.minor_words () -. words0) /. 1000.0 in
   let d = Simdisk.Disk.diff before (Simdisk.Disk.snapshot disk) in
-  (ns, d)
+  (ns, d, words)
 
 (* Returns (ns/op, trace_noop_ok): the tracer is never enabled here, so
    a single event reaching the sink would mean the "zero-cost when
@@ -299,7 +302,7 @@ let readpath_section () =
   let ((_, _, v2_sst) as v2) = build_readpath_sst Sstable.Sst_format.V2 in
   let zone_probes =
     List.filter
-      (fun p -> Sstable.Reader.locate v2_sst p = None)
+      (fun p -> Sstable.Reader.locate v2_sst p < 0)
       (List.init readpath_records (fun i -> Printf.sprintf "key%08d!" i))
   in
   if List.length zone_probes < 10 then failwith "perf: no zone-rejected gaps";
@@ -333,7 +336,7 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-let write_json ~path ~kernels ~io_ok ~trace_noop_ok =
+let write_json ~path ~kernels ~io_ok ~trace_noop_ok ~warm_get_words =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
@@ -345,6 +348,7 @@ let write_json ~path ~kernels ~io_ok ~trace_noop_ok =
   (* The crc32c.4KiB baseline predates the hardware kernel: say which
      kernel this run's number comes from. *)
   out "  \"crc32c_kernel\": \"%s\",\n" Repro_util.Crc32c.kernel;
+  out "  \"warm_get_minor_words\": %.1f,\n" warm_get_words;
   out "  \"kernels\": [\n";
   let n = List.length kernels in
   List.iteri
@@ -447,7 +451,7 @@ let run ?(out = "BENCH_PR2.json") (s : Scale.t) =
     { k_name = name; k_ns = ns; k_baseline = baseline_ns name; k_group = "macro" }
   in
   let crc = crc_kernel ~repeats ~iters in
-  let lookup_ns, io = lookup_kernel ~repeats ~iters () in
+  let lookup_ns, io, warm_get_words = lookup_kernel ~repeats ~iters () in
   let insert, trace_noop_ok = insert_kernel ~repeats ~iters:(iters * 2) in
   let skiplist = skiplist_kernel ~repeats ~iters:(iters * 2) in
   let io_ok =
@@ -479,6 +483,8 @@ let run ?(out = "BENCH_PR2.json") (s : Scale.t) =
       Printf.printf "%-44s %12.1f ns/op%s\n" k.k_name k.k_ns base)
     kernels;
   Printf.printf "crc32c kernel: %s\n" Repro_util.Crc32c.kernel;
+  Printf.printf "warm get minor words: %.1f per get (100 B values)\n"
+    warm_get_words;
   if not io_ok then
     Printf.printf
       "WARNING: warmed lookups charged simulated I/O (seeks=%d seq=%dB rand=%dB)\n"
@@ -487,11 +493,13 @@ let run ?(out = "BENCH_PR2.json") (s : Scale.t) =
   if not trace_noop_ok then
     Printf.printf
       "WARNING: disabled tracer emitted events during the insert kernel\n";
-  write_json ~path:out ~kernels ~io_ok ~trace_noop_ok;
+  write_json ~path:out ~kernels ~io_ok ~trace_noop_ok ~warm_get_words;
   Printf.printf "wrote %s\n" out;
   (* ---- PR-7 read-path sections ---- *)
   Scale.section "Read-path kernels (fence / Bloom layouts / scan+miss I/O)";
-  let lookup_v2_ns, io_v2 = lookup_kernel ~format:Sstable.Sst_format.V2 ~repeats ~iters () in
+  let lookup_v2_ns, io_v2, _ =
+    lookup_kernel ~format:Sstable.Sst_format.V2 ~repeats ~iters ()
+  in
   let fence_ey, fence_bin = fence_kernel ~repeats ~iters:(iters * 4) in
   let bloom_std, bloom_blk, fp_std, fp_blk = bloom_kernels ~repeats ~iters:(iters * 4) in
   let v1_io, v2_io, zone_probes = readpath_section () in

@@ -35,27 +35,6 @@ type t = {
   mutable inserted : int;
 }
 
-(* 64-bit FNV-1a over the key, then two mixes to derive h1/h2. *)
-let fnv1a s =
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001B3L)
-    s;
-  !h
-
-let mix h =
-  let h = Int64.logxor h (Int64.shift_right_logical h 33) in
-  let h = Int64.mul h 0xFF51AFD7ED558CCDL in
-  Int64.logxor h (Int64.shift_right_logical h 29)
-
-let hash_pair key =
-  let h = fnv1a key in
-  let h1 = Int64.to_int (Int64.logand h 0x3FFFFFFFFFFFFFFFL) in
-  let h2 = Int64.to_int (Int64.logand (mix h) 0x3FFFFFFFFFFFFFFFL) in
-  (h1, h2 lor 1 (* odd stride hits every bit position *))
-
 (** [create ~expected_items ~bits_per_item ()] sizes the filter for
     [expected_items] insertions. [bits_per_item] defaults to 10 (the
     paper's choice, <1% false positives); [kind] to {!Standard}. The
@@ -83,16 +62,13 @@ let get_bit t i =
   let byte = i lsr 3 and bit = i land 7 in
   Char.code (Bytes.get t.bits byte) land (1 lsl bit) <> 0
 
-(* Reduce both hashes below nbits so the probe arithmetic cannot
-   overflow; a zero stride would probe one bit repeatedly, so avoid it. *)
-let probes t key =
-  let h1, h2 = hash_pair key in
-  let h1 = h1 mod t.nbits in
-  let h2 =
-    let h = h2 mod t.nbits in
-    if h = 0 then 1 else h
-  in
-  (h1, h2)
+(* Set the bit at [pos] ([set]: an insert, always true) or test it. *)
+let touch t set pos =
+  if set then begin
+    set_bit t pos;
+    true
+  end
+  else get_bit t pos
 
 (* Blocked layout: h1 picks the 512-bit block; each derived value yields
    two 9-bit in-block positions, so ceil(k/2) derived hashes cover all k
@@ -105,61 +81,59 @@ let probes t key =
    false-positive rate lands several times above the block-load-variance
    bound; the per-step multiply gives pair i the effective multiplier
    K^(i+1), decorrelating the windows (measured FP sits at the Poisson
-   floor, ~1.15x Standard). [f] receives absolute bit positions;
-   iteration stops early when [f] returns false (the membership test's
-   short-circuit; inserts always return true). *)
+   floor, ~1.15x Standard). *)
 let blocked_mul = 0x2545F4914F6CDD1D
 
-let blocked_probe t h1 h2 f =
-  let nblocks = t.nbits / block_bits in
-  let base = h1 mod nblocks * block_bits in
-  let npairs = (t.hashes + 1) / 2 in
-  let g = ref h2 in
-  let continue_ = ref true in
-  let i = ref 0 in
-  while !continue_ && !i < npairs do
-    g := !g * blocked_mul land max_int;
-    let v = !g lsr 38 in
-    if not (f (base + (v land (block_bits - 1)))) then continue_ := false
-    else if
-      (2 * !i) + 1 < t.hashes
-      && not (f (base + (v lsr 9 land (block_bits - 1))))
-    then continue_ := false
-    else incr i
-  done;
-  !continue_
+(* Visit the k probe positions of the key whose 64-bit FNV-1a hash is
+   [hi:lo]: set them all ([set]) or test them, stopping at the first
+   clear bit. The hash pair is h1 = the hash's low 62 bits and h2 = a
+   murmur-style finalizer of it, forced odd so the stride reaches every
+   bit; every intermediate stays an unboxed local, so a probe allocates
+   nothing. Standard reduces both below nbits (no overflow in
+   h1 + i*h2; a zero stride would probe one bit repeatedly). *)
+let visit t set hi lo =
+  let h =
+    Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
+  in
+  let m = Int64.logxor h (Int64.shift_right_logical h 33) in
+  let m = Int64.mul m 0xFF51AFD7ED558CCDL in
+  let m = Int64.logxor m (Int64.shift_right_logical m 29) in
+  let h1 = Int64.to_int (Int64.logand h 0x3FFFFFFFFFFFFFFFL) in
+  let h2 = Int64.to_int (Int64.logand m 0x3FFFFFFFFFFFFFFFL) lor 1 in
+  let ok = ref true and i = ref 0 in
+  (match t.kind with
+  | Standard ->
+      let h1 = h1 mod t.nbits in
+      let h2 = match h2 mod t.nbits with 0 -> 1 | h -> h in
+      while !ok && !i < t.hashes do
+        ok := touch t set ((h1 + (!i * h2)) mod t.nbits);
+        incr i
+      done
+  | Blocked ->
+      let base = h1 mod (t.nbits / block_bits) * block_bits in
+      let g = ref h2 in
+      while !ok && 2 * !i < t.hashes do
+        g := !g * blocked_mul land max_int;
+        let v = !g lsr 38 in
+        ok :=
+          touch t set (base + (v land (block_bits - 1)))
+          && ((2 * !i) + 1 >= t.hashes
+             || touch t set (base + (v lsr 9 land (block_bits - 1))));
+        incr i
+      done);
+  !ok
 
 (** [add t key] inserts [key]. Updates are monotonic (bits only go 0->1),
     which is why bLSM readers never need to be insulated from concurrent
     filter updates (§4.4.3). *)
 let add t key =
-  (match t.kind with
-  | Standard ->
-      let h1, h2 = probes t key in
-      for i = 0 to t.hashes - 1 do
-        set_bit t ((h1 + (i * h2)) mod t.nbits)
-      done
-  | Blocked ->
-      let h1, h2 = hash_pair key in
-      ignore
-        (blocked_probe t h1 h2 (fun pos ->
-             set_bit t pos;
-             true)
-          : bool));
+  ignore
+    (Repro_util.Fnv1a.hash64 key (fun t hi lo -> visit t true hi lo) t : bool);
   t.inserted <- t.inserted + 1
 
 (** [mem t key] is [false] only if [key] was definitely never added. *)
 let mem t key =
-  match t.kind with
-  | Standard ->
-      let h1, h2 = probes t key in
-      let rec go i =
-        i >= t.hashes || (get_bit t ((h1 + (i * h2)) mod t.nbits) && go (i + 1))
-      in
-      go 0
-  | Blocked ->
-      let h1, h2 = hash_pair key in
-      blocked_probe t h1 h2 (fun pos -> get_bit t pos)
+  Repro_util.Fnv1a.hash64 key (fun t hi lo -> visit t false hi lo) t
 
 let inserted t = t.inserted
 

@@ -52,15 +52,25 @@ let shadow sl =
           ~from);
   }
 
-let component { guard } c =
+(* Run [read c key] for its guard without allocating a thunk per call:
+   a guard only translates the exception a read raises, so the read runs
+   outside it and only a raised exception is handed to the guard, to be
+   re-raised inside it. *)
+let guarded { guard } read c key =
+  match read c key with
+  | v -> v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      guard (fun () -> Printexc.raise_with_backtrace e bt)
+
+let sst_version c key =
+  if not (Component.maybe_contains c key) then None
+  else Option.map snd (Sstable.Reader.get_with_lsn c.Component.sst key)
+
+let component ({ guard } as g) c =
   {
-    probe = (fun key -> guard (fun () -> Component.get c key));
-    version =
-      (fun key ->
-        if not (Component.maybe_contains c key) then None
-        else
-          guard (fun () ->
-              Option.map snd (Sstable.Reader.get_with_lsn c.Component.sst key)));
+    probe = (fun key -> guarded g Component.get c key);
+    version = (fun key -> guarded g sst_version c key);
     open_at =
       (fun from ->
         guard (fun () ->
@@ -98,24 +108,23 @@ type t = {
 let make ~resolver ~early_termination sources =
   { resolver; early_termination; sources }
 
-let lookup t key =
-  let rec visit acc = function
-    | [] -> acc
-    | src :: rest -> (
-        match src.probe key with
-        | None -> visit acc rest
-        | Some e -> (
-            let e =
-              match acc with
-              | None -> e
-              | Some newer -> Kv.Entry.merge t.resolver ~newer ~older:e
-            in
-            match e with
-            | (Kv.Entry.Base _ | Kv.Entry.Tombstone) when t.early_termination ->
-                Some e
-            | _ -> visit (Some e) rest))
-  in
-  visit None t.sources
+let rec visit t key acc = function
+  | [] -> acc
+  | src :: rest -> (
+      match src.probe key with
+      | None -> visit t key acc rest
+      | Some e -> (
+          let e =
+            match acc with
+            | None -> e
+            | Some newer -> Kv.Entry.merge t.resolver ~newer ~older:e
+          in
+          match e with
+          | (Kv.Entry.Base _ | Kv.Entry.Tombstone) when t.early_termination ->
+              Some e
+          | _ -> visit t key (Some e) rest))
+
+let lookup t key = visit t key None t.sources
 
 let interpret t = function
   | None | Some Kv.Entry.Tombstone -> None

@@ -14,7 +14,10 @@ type source = {
   open_at : string -> pull;  (** records with key >= the argument *)
 }
 
-(** Turns a checksum failure into the engine's typed error. *)
+(** Turns a checksum failure into the engine's typed error. A guard may
+    act only on the exception its argument raises: point probes run the
+    read outside the guard and, only when it raises, re-raise inside it
+    (no closure per probe). *)
 type guard = { guard : 'a. (unit -> 'a) -> 'a }
 
 val unguarded : guard
@@ -26,9 +29,9 @@ val memtable : Memtable.t -> source
     committed, with their newest LSN. *)
 val shadow : (Kv.Entry.t * int) Memtable.Skiplist.t -> source
 
-(** An on-disk component; every read runs under the guard. Probes ask
-    the Bloom filter first; the version probe skips the component on the
-    filter alone. *)
+(** An on-disk component; every read's exception passes the guard.
+    Probes ask the Bloom filter first; the version probe skips the
+    component on the filter alone. *)
 val component : guard -> Component.t -> source
 
 (** [chain opens] concatenates key-disjoint streams given in key order,

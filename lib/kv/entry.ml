@@ -75,8 +75,10 @@ let encode buf = function
 let decode s pos =
   match s.[pos] with
   | '\000' ->
-      let len, pos = Repro_util.Varint.read s (pos + 1) in
-      (Base (String.sub s pos len), pos + len)
+      (* Tuple-free: a point lookup's only allocation is the entry. *)
+      let p = Repro_util.Varint.end_of s (pos + 1) in
+      let len = Repro_util.Varint.value s (pos + 1) in
+      (Base (String.sub s p len), p + len)
   | '\001' -> (Tombstone, pos + 1)
   | '\002' ->
       let n, pos = Repro_util.Varint.read s (pos + 1) in

@@ -17,6 +17,7 @@ let branching = 4 (* promote with probability 1/4 *)
 
 type 'a node = {
   key : string; (* "" for the head and nil sentinels *)
+  hash : int; (* FNV-1a of [key]: the index slot's home *)
   mutable value : 'a;
   forward : 'a node array; (* physically [nil] past the last node *)
 }
@@ -24,16 +25,28 @@ type 'a node = {
 type 'a t = {
   head : 'a node;
   nil : 'a node; (* unique per list; compared with [==] only *)
+  (* Key index for point lookups: open addressing with linear probing
+     over a power-of-two table kept at most half full; [nil] marks an
+     empty slot. Nodes carry their hash, so a probe compares ints before
+     strings and growth never rehashes a key. *)
+  mutable slots : 'a node array;
   prng : Repro_util.Prng.t;
   mutable level : int; (* highest level in use, >= 1 *)
   mutable length : int;
 }
 
 let create ?(seed = 42) () =
-  let nil = { key = ""; value = Obj.magic 0; forward = [||] } in
+  let nil = { key = ""; hash = 0; value = Obj.magic 0; forward = [||] } in
   {
-    head = { key = ""; value = Obj.magic 0; forward = Array.make max_level nil };
+    head =
+      {
+        key = "";
+        hash = 0;
+        value = Obj.magic 0;
+        forward = Array.make max_level nil;
+      };
     nil;
+    slots = Array.make 64 nil;
     prng = Repro_util.Prng.of_int seed;
     level = 1;
     length = 0;
@@ -68,7 +81,7 @@ let find_predecessors t key update =
   done;
   !x
 
-(* Descend without recording predecessors (read-only lookups). *)
+(* Descend without recording predecessors (successor queries). *)
 let find_floor t key =
   let x = ref t.head in
   for lvl = t.level - 1 downto 0 do
@@ -76,23 +89,74 @@ let find_floor t key =
   done;
   !x
 
-(** [find t key] returns the stored value, if any. *)
-let find t key =
-  let n = (find_floor t key).forward.(0) in
-  if n != t.nil && String.equal n.key key then Some n.value else None
+(* {1 The key index} *)
 
-(** [update t key f] inserts or modifies in one descent: [f None] for a
-    fresh key, [f (Some old)] to replace. Returns the previous value. *)
+let next_slot t i = (i + 1) land (Array.length t.slots - 1)
+let home t h = h land (Array.length t.slots - 1)
+
+(* The slot holding [key] (hash [h]), or the empty slot that ends its
+   probe run: where the key would go. *)
+let rec probe t h key i =
+  let n = t.slots.(i) in
+  if n == t.nil || (n.hash = h && String.equal n.key key) then i
+  else probe t h key (next_slot t i)
+
+let rec empty_from t i =
+  if t.slots.(i) == t.nil then i else empty_from t (next_slot t i)
+
+let rec slot_of_node t n i =
+  if t.slots.(i) == n then i else slot_of_node t n (next_slot t i)
+
+(* Put [n] in the first empty slot of its probe run. *)
+let place t n = t.slots.(empty_from t (home t n.hash)) <- n
+
+(* Double the table, re-placing every node by its stored hash. *)
+let grow t =
+  let old = t.slots in
+  t.slots <- Array.make (2 * Array.length old) t.nil;
+  Array.iter (fun n -> if n != t.nil then place t n) old
+
+(* Re-place every entry of the probe run starting at [i]. *)
+let rec settle t i =
+  let m = t.slots.(i) in
+  if m != t.nil then begin
+    t.slots.(i) <- t.nil;
+    place t m;
+    settle t (next_slot t i)
+  end
+
+(* Remove node [n] from the index. Linear probing needs no tombstones:
+   the entries after the hole re-place themselves up to the end of the
+   run, so every key stays reachable from its home slot. *)
+let unindex t n =
+  let i = slot_of_node t n (home t n.hash) in
+  t.slots.(i) <- t.nil;
+  settle t (next_slot t i)
+
+(** [find t key] returns the stored value, if any: one hash probe. *)
+let find t key =
+  if t.length = 0 then None
+  else begin
+    let h = Repro_util.Fnv1a.hash key in
+    let n = t.slots.(probe t h key (home t h)) in
+    if n == t.nil then None else Some n.value
+  end
+
+(** [update t key f] inserts or modifies: [f None] for a fresh key (one
+    descent), [f (Some old)] to replace (one hash probe). Returns the
+    previous value. *)
 let update t key f =
-  let update_arr = Array.make max_level t.head in
-  let pred = find_predecessors t key update_arr in
-  let n = pred.forward.(0) in
-  if n != t.nil && String.equal n.key key then begin
+  let h = Repro_util.Fnv1a.hash key in
+  let i = probe t h key (home t h) in
+  let n = t.slots.(i) in
+  if n != t.nil then begin
     let old = n.value in
     n.value <- f (Some old);
     Some old
   end
   else begin
+    let update_arr = Array.make max_level t.head in
+    ignore (find_predecessors t key update_arr : 'a node);
     let lvl = random_level t in
     if lvl > t.level then begin
       for l = t.level to lvl - 1 do
@@ -100,24 +164,29 @@ let update t key f =
       done;
       t.level <- lvl
     end;
-    let node = { key; value = f None; forward = Array.make lvl t.nil } in
+    let node =
+      { key; hash = h; value = f None; forward = Array.make lvl t.nil }
+    in
     for l = 0 to lvl - 1 do
       node.forward.(l) <- update_arr.(l).forward.(l);
       update_arr.(l).forward.(l) <- node
     done;
+    t.slots.(i) <- node;
     t.length <- t.length + 1;
+    if 2 * t.length > Array.length t.slots then grow t;
     None
   end
 
 (** [set t key v] is [update] ignoring the previous value. *)
 let set t key v = ignore (update t key (fun _ -> v))
 
-(** [remove t key] deletes the binding, returning the removed value. *)
+(** [remove t key] deletes the binding, returning the removed value. The
+    descent that unlinks the node also finds it, so no key is hashed. *)
 let remove t key =
   let update_arr = Array.make max_level t.head in
-  let _ = find_predecessors t key update_arr in
-  let n = update_arr.(0).forward.(0) in
+  let n = (find_predecessors t key update_arr).forward.(0) in
   if n != t.nil && String.equal n.key key then begin
+    unindex t n;
     for l = 0 to Array.length n.forward - 1 do
       if update_arr.(l).forward.(l) == n then
         update_arr.(l).forward.(l) <- n.forward.(l)

@@ -1,8 +1,10 @@
 (** Deterministic skip list: the ordered map behind C0.
 
     Supports the cheap successor queries the snowshovel cursor needs
-    ("smallest key >= cursor", §4.2) in O(log n). Levels are drawn from
-    the repository PRNG, so runs are reproducible. Not thread-safe. *)
+    ("smallest key >= cursor", §4.2) in O(log n), and point lookups in
+    one hash probe (a private key index kept in step with the list).
+    Levels are drawn from the repository PRNG, so runs are reproducible.
+    Not thread-safe. *)
 
 type 'a t
 
@@ -10,10 +12,13 @@ val create : ?seed:int -> unit -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
+(** [find t key] is the value bound to [key]: one hash probe, no
+    descent. *)
 val find : 'a t -> string -> 'a option
 
-(** [update t key f] inserts or modifies in one descent: [f None] for a
-    fresh key, [f (Some old)] to replace. Returns the previous value. *)
+(** [update t key f] inserts or modifies: [f None] for a fresh key (one
+    descent), [f (Some old)] to replace (one hash probe). Returns the
+    previous value. *)
 val update : 'a t -> string -> ('a option -> 'a) -> 'a option
 
 (** [set t key v] binds unconditionally. *)

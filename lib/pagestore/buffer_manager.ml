@@ -22,12 +22,21 @@ type frame = {
   mutable starts : int array option; (* derived record-start offsets *)
 }
 
+(* Page id -> frame slot. Ids are small non-negative ints, so they hash
+   to themselves: a probe costs no hashing and allocates nothing. *)
+module Index = Hashtbl.Make (struct
+  type t = Page.id
+
+  let equal = Int.equal
+  let hash id = id land max_int
+end)
+
 type t = {
   disk : Simdisk.Disk.t;
   platter : Platter.t;
   page_size : int;
   frames : frame array;
-  index : (Page.id, int) Hashtbl.t;
+  index : int Index.t;
   mutable hand : int;
   mutable hits : int;
   mutable misses : int;
@@ -49,7 +58,7 @@ let create disk platter ~capacity_pages =
       Array.init capacity_pages (fun slot ->
           { slot; page = -1; data = Bytes.create page_size; dirty = false;
             refbit = false; pins = 0; verified = false; starts = None });
-    index = Hashtbl.create (2 * capacity_pages);
+    index = Index.create (2 * capacity_pages);
     hand = 0;
     hits = 0;
     misses = 0;
@@ -112,13 +121,13 @@ let find_victim t =
   go (2 * n + 1)
 
 let load t id ~seq =
-  match Hashtbl.find_opt t.index id with
-  | Some fi ->
+  match Index.find t.index id with
+  | fi ->
       let f = t.frames.(fi) in
       t.hits <- t.hits + 1;
       f.refbit <- true;
       f
-  | None ->
+  | exception Not_found ->
       t.misses <- t.misses + 1;
       let f = find_victim t in
       if f.page >= 0 then begin
@@ -127,7 +136,7 @@ let load t id ~seq =
           Obs.Trace.instant t.trace ~cat:"buf" ~name:"evict"
             ~args:[ ("page", Obs.Trace.I f.page); ("dirty", Obs.Trace.B f.dirty) ];
         writeback t f;
-        Hashtbl.remove t.index f.page
+        Index.remove t.index f.page
       end;
       Platter.read t.platter id f.data;
       if seq then Simdisk.Disk.seq_read t.disk ~bytes:t.page_size
@@ -137,30 +146,44 @@ let load t id ~seq =
       f.dirty <- false;
       f.verified <- false;
       f.starts <- None;
-      Hashtbl.replace t.index id f.slot;
+      Index.replace t.index id f.slot;
       f
+
+(* The one pin/unpin path every callback access runs through: load page
+   [id], pin its frame, apply [body frame a b], unpin — also when [body]
+   raises. [body] receives its arguments separately, so callers pass
+   closed functions and a pool hit allocates nothing. *)
+let pinned t id ~seq body a b =
+  let f = load t id ~seq in
+  take_pin t f;
+  match body f a b with
+  | v ->
+      f.pins <- f.pins - 1;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      f.pins <- f.pins - 1;
+      Printexc.raise_with_backtrace e bt
 
 (** [with_page t id ~seq f] pins page [id], applies [f] to its bytes, and
     unpins. The callback must not retain the buffer. *)
-let with_page t id ~seq fn =
-  let f = load t id ~seq in
-  take_pin t f;
-  Fun.protect ~finally:(fun () -> f.pins <- f.pins - 1) (fun () -> fn f.data)
+let with_page t id ~seq fn = pinned t id ~seq (fun f fn () -> fn f.data) fn ()
 
 (** [with_page_mut] is [with_page] but marks the frame dirty. Mutation
     invalidates the verified bit and any derived metadata. *)
 let with_page_mut t id ~seq fn =
-  let f = load t id ~seq in
-  take_pin t f;
-  f.dirty <- true;
-  f.verified <- false;
-  f.starts <- None;
-  Fun.protect ~finally:(fun () -> f.pins <- f.pins - 1) (fun () -> fn f.data)
+  pinned t id ~seq
+    (fun f fn () ->
+      f.dirty <- true;
+      f.verified <- false;
+      f.starts <- None;
+      fn f.data)
+    fn ()
 
 (* Run the caller's integrity check exactly once per platter load. *)
 let ensure_verified f ~verify =
   if not f.verified then begin
-    verify f.data;
+    verify f.page f.data;
     f.verified <- true
   end
 
@@ -169,34 +192,37 @@ let ensure_verified f ~verify =
     was (re)read from the platter since its last verification — pool hits
     skip the check. *)
 let with_page_verified t id ~seq ~verify fn =
-  let f = load t id ~seq in
-  take_pin t f;
-  Fun.protect
-    ~finally:(fun () -> f.pins <- f.pins - 1)
-    (fun () ->
+  pinned t id ~seq
+    (fun f verify fn ->
       ensure_verified f ~verify;
       fn f.data)
+    verify fn
 
-(** [with_page_starts t id ~seq ~verify ~derive fn] additionally caches
-    [derive frame_bytes] (record-start offsets, or any per-page navigation
-    metadata) alongside the frame; [derive] runs once per load, strictly
-    after [verify], so derived offsets never come from unverified bytes. *)
-let with_page_starts t id ~seq ~verify ~derive fn =
-  let f = load t id ~seq in
-  take_pin t f;
-  Fun.protect
-    ~finally:(fun () -> f.pins <- f.pins - 1)
-    (fun () ->
-      ensure_verified f ~verify;
+type ('k, 'a) page_reader = {
+  verify : Page.id -> Bytes.t -> unit;
+  derive : Page.id -> Bytes.t -> int array;
+  read : Bytes.t -> int array -> 'k -> 'a;
+}
+
+(** [with_page_starts t id ~seq r k] additionally caches [r.derive]'s
+    result (record-start offsets, or any per-page navigation metadata)
+    alongside the frame and applies [r.read bytes starts k]; [derive]
+    runs once per load, strictly after [verify], so derived offsets never
+    come from unverified bytes. *)
+let with_page_starts t id ~seq r k =
+  pinned t id ~seq
+    (fun f r k ->
+      ensure_verified f ~verify:r.verify;
       let starts =
         match f.starts with
         | Some a -> a
         | None ->
-            let a = derive f.data in
+            let a = r.derive f.page f.data in
             f.starts <- Some a;
             a
       in
-      fn f.data starts)
+      r.read f.data starts k)
+    r k
 
 (** {1 Pinned access}
 
@@ -231,7 +257,7 @@ let unpin p =
 
 (** [force t id] synchronously writes page [id] back if dirty. *)
 let force t id =
-  match Hashtbl.find_opt t.index id with
+  match Index.find_opt t.index id with
   | Some fi -> writeback t t.frames.(fi)
   | None -> ()
 
@@ -243,7 +269,7 @@ let flush_all t =
     without writing them back (their region is being deallocated). *)
 let discard_region t ~start ~length =
   for id = start to start + length - 1 do
-    match Hashtbl.find_opt t.index id with
+    match Index.find_opt t.index id with
     | Some fi ->
         let f = t.frames.(fi) in
         f.page <- -1;
@@ -251,7 +277,7 @@ let discard_region t ~start ~length =
         f.refbit <- false;
         f.verified <- false;
         f.starts <- None;
-        Hashtbl.remove t.index id
+        Index.remove t.index id
     | None -> ()
   done
 
@@ -266,7 +292,7 @@ let crash t =
       f.verified <- false;
       f.starts <- None)
     t.frames;
-  Hashtbl.reset t.index
+  Index.reset t.index
 
 let hits t = t.hits
 let misses t = t.misses

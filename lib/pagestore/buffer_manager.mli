@@ -32,23 +32,35 @@ val with_page_mut : t -> Page.id -> seq:bool -> (Bytes.t -> 'a) -> 'a
     the platter, so it is still caught at the load that brings the page
     into RAM. *)
 
-(** As {!with_page}, but [verify] (which must raise on a bad frame) runs
-    only when this frame was read from the platter since its last
-    verification. *)
+(** As {!with_page}, but [verify id bytes] (which must raise on a bad
+    frame) runs only when this frame was read from the platter since its
+    last verification. *)
 val with_page_verified :
-  t -> Page.id -> seq:bool -> verify:(Bytes.t -> unit) -> (Bytes.t -> 'a) -> 'a
-
-(** As {!with_page_verified}, additionally caching [derive frame_bytes]
-    (per-page record-start offsets) alongside the frame. [derive] runs
-    once per load, strictly after [verify]. *)
-val with_page_starts :
   t ->
   Page.id ->
   seq:bool ->
-  verify:(Bytes.t -> unit) ->
-  derive:(Bytes.t -> int array) ->
-  (Bytes.t -> int array -> 'a) ->
+  verify:(Page.id -> Bytes.t -> unit) ->
+  (Bytes.t -> 'a) ->
   'a
+
+(** How a caller reads one kind of page through {!with_page_starts}.
+    [verify] (raises on a bad frame) runs once per platter load;
+    [derive] computes per-page navigation metadata (record-start
+    offsets) once per load, strictly after [verify]; [read] consumes the
+    frame's bytes and that metadata. [verify] and [derive] receive the
+    page id for their error reports. A reader built once and passed with
+    a per-call argument keeps a pool hit allocation-free. *)
+type ('k, 'a) page_reader = {
+  verify : Page.id -> Bytes.t -> unit;
+  derive : Page.id -> Bytes.t -> int array;
+  read : Bytes.t -> int array -> 'k -> 'a;
+}
+
+(** [with_page_starts t id ~seq r k] is {!with_page_verified} with
+    [r.verify], additionally caching [r.derive]'s result alongside the
+    frame, then applies [r.read bytes starts k]. *)
+val with_page_starts :
+  t -> Page.id -> seq:bool -> ('k, 'a) page_reader -> 'k -> 'a
 
 (** {1 Pinned access (zero-copy reads)}
 
@@ -62,7 +74,7 @@ type pin
 (** [pin t id ~seq ~verify] loads, verifies (once per platter load), and
     pins page [id]. The pin is released (and no frame left over-pinned)
     if [verify] raises. *)
-val pin : t -> Page.id -> seq:bool -> verify:(Bytes.t -> unit) -> pin
+val pin : t -> Page.id -> seq:bool -> verify:(Page.id -> Bytes.t -> unit) -> pin
 
 (** The pinned frame's bytes — valid until {!unpin}. Do not mutate. *)
 val pin_bytes : pin -> Bytes.t

@@ -163,8 +163,8 @@ let with_page_mut t id fn = Buffer_manager.with_page_mut t.buffer id ~seq:false 
 let with_page_verified t id ~seq ~verify fn =
   Buffer_manager.with_page_verified t.buffer id ~seq ~verify fn
 
-let with_page_starts t id ~seq ~verify ~derive fn =
-  Buffer_manager.with_page_starts t.buffer id ~seq ~verify ~derive fn
+let with_page_starts t id ~seq r k =
+  Buffer_manager.with_page_starts t.buffer id ~seq r k
 
 type pin = Buffer_manager.pin
 

@@ -74,31 +74,33 @@ val with_page_mut : t -> Page.id -> (Bytes.t -> 'a) -> 'a
     no per-access checksum, no copy-out. See DESIGN.md, "Read-path CPU
     costs". *)
 
-(** As {!with_page}, but [verify] (raises on a bad frame) runs only when
-    the frame was read from the platter since its last verification —
-    pool hits skip it. *)
+(** As {!with_page}, but [verify id bytes] (raises on a bad frame) runs
+    only when the frame was read from the platter since its last
+    verification — pool hits skip it. *)
 val with_page_verified :
-  t -> Page.id -> seq:bool -> verify:(Bytes.t -> unit) -> (Bytes.t -> 'a) -> 'a
-[@@lint.allow "U001"] (* uncached variant of the verified-read pair *)
-
-(** As {!with_page_verified}, additionally caching [derive frame_bytes]
-    (per-page record-start offsets) alongside the frame; [derive] runs
-    once per load, strictly after [verify]. *)
-val with_page_starts :
   t ->
   Page.id ->
   seq:bool ->
-  verify:(Bytes.t -> unit) ->
-  derive:(Bytes.t -> int array) ->
-  (Bytes.t -> int array -> 'a) ->
+  verify:(Page.id -> Bytes.t -> unit) ->
+  (Bytes.t -> 'a) ->
   'a
+[@@lint.allow "U001"] (* uncached variant of the verified-read pair *)
+
+(** [with_page_starts t id ~seq r k] is {!with_page_verified} with
+    [r.verify], additionally caching [r.derive]'s per-page metadata
+    (record-start offsets) alongside the frame — [derive] runs once per
+    load, strictly after [verify] — then applies [r.read bytes starts k]
+    (see {!Buffer_manager.page_reader}). A pool hit allocates nothing. *)
+val with_page_starts :
+  t -> Page.id -> seq:bool -> ('k, 'a) Buffer_manager.page_reader -> 'k -> 'a
 
 (** A pinned buffer-pool frame: the page stays resident and its bytes
     can be read in place until {!unpin}. Release promptly — a leaked pin
     permanently shrinks the pool. *)
 type pin
 
-val pin_page : t -> Page.id -> seq:bool -> verify:(Bytes.t -> unit) -> pin
+val pin_page :
+  t -> Page.id -> seq:bool -> verify:(Page.id -> Bytes.t -> unit) -> pin
 
 (** The pinned frame's bytes — valid until {!unpin}. Do not mutate. *)
 val pinned_bytes : pin -> Bytes.t

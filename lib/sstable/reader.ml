@@ -155,33 +155,27 @@ let free t =
         { Pagestore.Region_allocator.start; length })
     t.footer.Sst_format.extents
 
-(* Rightmost fence slot whose first key <= [key]; None if key precedes
-   everything. Eytzinger descent over the RAM fence (the seed binary-
-   searched the sorted index arrays here). *)
-let index_floor t key = Sst_format.Fence.locate t.fence key
+(* The data page the fence [slot] names, or [-1] for slot 0 (the key
+   precedes the table) or when — V2 — the page zone map already proves
+   [key] absent. *)
+let page_of_slot t key slot =
+  if slot = 0 then -1
+  else
+    match Sst_format.Fence.zone_max t.fence slot with
+    | Some zmax when String.compare key zmax > 0 -> -1
+    | _ -> Sst_format.Fence.page_pos t.fence slot
 
 (** [locate t key]: chain position of the data page a lookup for [key]
-    must consult ([None]: key precedes the table, or — V2 — the page
-    zone map already proves the key absent). Exposed for the fence
-    property tests and the perf harness. *)
-let locate t key =
-  match Sst_format.Fence.locate t.fence key with
-  | None -> None
-  | Some slot -> (
-      match Sst_format.Fence.zone_max t.fence slot with
-      | Some zmax when String.compare key zmax > 0 -> None
-      | _ -> Some (Sst_format.Fence.page_pos t.fence slot))
+    must consult ([-1]: key precedes the table, or — V2 — the page zone
+    map already proves the key absent). Eytzinger descent over the RAM
+    fence; allocation-free. *)
+let locate t key = page_of_slot t key (Sst_format.Fence.locate t.fence key)
 
 (** [locate_linear t key] mirrors {!locate} over the linear in-order
     fence walk — the reference the QCheck properties hold {!locate} to
     (as {!get_linear} is to {!get}). *)
 let locate_linear t key =
-  match Sst_format.Fence.locate_linear t.fence key with
-  | None -> None
-  | Some slot -> (
-      match Sst_format.Fence.zone_max t.fence slot with
-      | Some zmax when String.compare key zmax > 0 -> None
-      | _ -> Some (Sst_format.Fence.page_pos t.fence slot))
+  page_of_slot t key (Sst_format.Fence.locate_linear t.fence key)
 
 (** {1 Page byte streams} *)
 
@@ -226,6 +220,10 @@ let release bs =
       | None -> ())
   | Streaming _ -> ()
 
+(* The integrity check every cached data-page load runs (once per
+   platter load), naming the platter page on a mismatch. *)
+let verify_data_page page b = Sst_format.verify_page_bytes b ~page
+
 let fetch_page bs pos ~first =
   let t = bs.reader in
   let id = t.pages.(pos) in
@@ -242,7 +240,7 @@ let fetch_page bs pos ~first =
       | None -> ());
       let pin =
         Pagestore.Store.pin_page t.store id ~seq:(not first)
-          ~verify:(fun b -> Sst_format.verify_page_bytes b ~page:id)
+          ~verify:verify_data_page
       in
       c.pin <- Some pin;
       bs.buf <- Bytes.unsafe_to_string (Pagestore.Store.pinned_bytes pin)
@@ -373,9 +371,9 @@ let make_iter t ~cached ?from () =
       match from with
       | None -> (Some 0, None)
       | Some key -> (
-          match index_floor t key with
-          | None -> (Some 0, None) (* key precedes component: start at 0 *)
-          | Some slot -> (
+          match Sst_format.Fence.locate t.fence key with
+          | 0 -> (Some 0, None) (* key precedes component: start at 0 *)
+          | slot -> (
               match Sst_format.Fence.zone_max t.fence slot with
               | Some zmax when String.compare key zmax > 0 -> (
                   (* Zone-map skip: every record starting in the floor
@@ -457,24 +455,25 @@ let iter_close it =
     linear decode survives as {!get_linear_with_lsn}, the reference the
     property tests hold the fast path to. *)
 
-(* Compare the key stored at [pos, pos+len) of [s] with [key], without
-   materializing it. *)
+(* Compare the key stored at [pos, pos+len) of [s] with [key] from byte
+   [i] on ([n] = the shorter length), without materializing it. *)
+let rec cmp_key_from s pos len key i n =
+  if i = n then Int.compare len (String.length key)
+  else
+    let c =
+      Char.compare (String.unsafe_get s (pos + i)) (String.unsafe_get key i)
+    in
+    if c <> 0 then c else cmp_key_from s pos len key (i + 1) n
+
 let cmp_key_at s pos len key =
   let klen = String.length key in
-  let n = if len < klen then len else klen in
-  let rec go i =
-    if i = n then compare len klen
-    else
-      let c =
-        Char.compare (String.unsafe_get s (pos + i)) (String.unsafe_get key i)
-      in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+  cmp_key_from s pos len key 0 (if len < klen then len else klen)
 
-(* Probing a restart point within one page. Only the final restart can be
-   [Unreadable]: its record spills past the page end before the key does. *)
-type probe = Cmp of int | Unreadable
+(* A probe of one record in a page yields the key comparison, or
+   [unreadable] when the record spills past the page end before its key
+   does — only the final start can. Key comparisons are byte differences
+   or -1/0/1, so the sentinel is never a real answer; it sorts high. *)
+let unreadable = max_int
 
 (* What the in-page search concluded. [Resume] means the linear scan
    must take over at payload offset [off]: the record there (or its
@@ -490,37 +489,31 @@ type page_verdict =
   | Resume of { off : int; prev : string }
 
 let probe_key s psz start key =
-  match Repro_util.Varint.read s start with
-  | exception Invalid_argument _ -> Unreadable (* body-length varint split by the page end *)
-  | body_len, p ->
-      if p > psz then Unreadable
-      else (
-        match Repro_util.Varint.read s p with
-        | exception Invalid_argument _ -> Unreadable
-        | key_len, kp ->
-            if kp + key_len > psz || kp + key_len > p + body_len then Unreadable
-            else Cmp (cmp_key_at s kp key_len key))
-
-(* Decode the record at [start] entirely from page bytes; the caller has
-   checked it does not spill. *)
-let decode_at s start =
-  let body_len, p = Repro_util.Varint.read s start in
-  ignore body_len;
-  let key_len, kp = Repro_util.Varint.read s p in
-  let lsn, lp = Repro_util.Varint.read s (kp + key_len) in
-  let entry, _ = Kv.Entry.decode s lp in
-  (entry, lsn)
+  let p = Repro_util.Varint.next s start ~limit:psz in
+  let kp = Repro_util.Varint.next s p ~limit:psz in
+  if kp < 0 then unreadable (* a length varint split by the page end *)
+  else
+    let key_len = Repro_util.Varint.value s p in
+    if kp + key_len > psz || kp + key_len > p + Repro_util.Varint.value s start
+    then unreadable
+    else cmp_key_at s kp key_len key
 
 let complete_at s psz start =
-  match Repro_util.Varint.read s start with
-  | exception Invalid_argument _ -> false
-  | body_len, p -> p + body_len <= psz
+  let p = Repro_util.Varint.next s start ~limit:psz in
+  p >= 0 && p + Repro_util.Varint.value s start <= psz
+
+(* The record whose key the caller matched, decoded from page bytes: its
+   [varint lsn][entry] tail starts at [lsn_pos], and the caller has
+   checked the body does not spill. *)
+let found s lsn_pos =
+  let entry, _ = Kv.Entry.decode s (Repro_util.Varint.end_of s lsn_pos) in
+  Found (entry, Repro_util.Varint.value s lsn_pos)
 
 (* Binary-search the restart array for [key]. The page was chosen by
    index floor, so the first restart's key is <= [key]; a miss whose
    stopping record sits whole in this page is a miss outright, because
    the next page's first key (the next index entry) is > [key]. An
-   [Unreadable] probe sorts high; any verdict that the seed's linear
+   [unreadable] probe sorts high; any verdict that the seed's linear
    scan would have crossed a page boundary to reach — a spilled match,
    a spilled stopping record, or all in-page keys < [key] (the linear
    scan walked on and fully decoded the next page's first record before
@@ -531,67 +524,108 @@ let search_page page starts key =
   let n = Array.length starts in
   if n = 0 then Absent
   else begin
-    let probe i =
-      match probe_key s psz starts.(i) key with
-      | Unreadable -> 1 (* sort high; resolved via Resume below *)
-      | Cmp c -> c
-    in
     let lo = ref 0 and hi = ref (n - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi + 1) / 2 in
-      if probe mid <= 0 then lo := mid else hi := mid - 1
+      if probe_key s psz starts.(mid) key <= 0 then lo := mid else hi := mid - 1
     done;
     let i = !lo in
-    match probe_key s psz starts.(i) key with
-    | Unreadable -> Resume { off = starts.(i); prev = "" }
-    | Cmp 0 ->
-        if complete_at s psz starts.(i) then
-          let e, lsn = decode_at s starts.(i) in
-          Found (e, lsn)
-        else Resume { off = starts.(i); prev = "" }
-    | Cmp c when c < 0 ->
-        (* All readable keys up to [i] are < key. The linear scan stops at
-           record [i+1] if it exists, is whole, and its key settles the
-           question; otherwise it crossed into later pages. *)
-        if i + 1 >= n then Resume { off = starts.(i); prev = "" }
-        else if
-          complete_at s psz starts.(i + 1)
-          && probe_key s psz starts.(i + 1) key <> Unreadable
-        then Absent
-        else Resume { off = starts.(i + 1); prev = "" }
-    | Cmp _ ->
-        (* key < first restart: the linear scan stops at record 0 — whole
-           in this page, or it crossed. *)
-        if complete_at s psz starts.(0) then Absent
-        else Resume { off = starts.(0); prev = "" }
+    let c = probe_key s psz starts.(i) key in
+    if c = unreadable then Resume { off = starts.(i); prev = "" }
+    else if c = 0 then
+      if complete_at s psz starts.(i) then begin
+        let p = Repro_util.Varint.end_of s starts.(i) in
+        found s (Repro_util.Varint.end_of s p + Repro_util.Varint.value s p)
+      end
+      else Resume { off = starts.(i); prev = "" }
+    else if c < 0 then
+      (* All readable keys up to [i] are < key. The linear scan stops at
+         record [i+1] if it exists, is whole, and its key settles the
+         question; otherwise it crossed into later pages. *)
+      if i + 1 >= n then Resume { off = starts.(i); prev = "" }
+      else if
+        complete_at s psz starts.(i + 1)
+        && probe_key s psz starts.(i + 1) key <> unreadable
+      then Absent
+      else Resume { off = starts.(i + 1); prev = "" }
+    else if
+      (* key < first restart: the linear scan stops at record 0 — whole
+         in this page, or it crossed. *)
+      complete_at s psz starts.(0)
+    then Absent
+    else Resume { off = starts.(0); prev = "" }
   end
 
 (* Compare the composite key prev[0,shared) ++ s[pos, pos+suffix_len)
-   against [key] without materializing it (the V2 walk's hot loop). *)
+   against [key] from byte [i] on, without materializing it (the V2
+   walk's hot loop). *)
+let rec cmp_composite_from prev shared s pos total key i n =
+  if i = n then Int.compare total (String.length key)
+  else
+    let ci =
+      if i < shared then String.unsafe_get prev i
+      else String.unsafe_get s (pos + i - shared)
+    in
+    let c = Char.compare ci (String.unsafe_get key i) in
+    if c <> 0 then c
+    else cmp_composite_from prev shared s pos total key (i + 1) n
+
 let cmp_composite prev shared s pos suffix_len key =
   let klen = String.length key in
   let total = shared + suffix_len in
-  let n = if total < klen then total else klen in
-  let rec go i =
-    if i = n then Int.compare total klen
+  cmp_composite_from prev shared s pos total key 0
+    (if total < klen then total else klen)
+
+(* Compare [key] with the full key of the V2 restart record at [start]
+   ([shared = 0]), or [unreadable] when its bytes run past the page. *)
+let restart_cmp s psz start key =
+  let p = Repro_util.Varint.next s start ~limit:psz in
+  let p = Repro_util.Varint.next s p ~limit:psz in
+  let kp = Repro_util.Varint.next s p ~limit:psz in
+  if kp < 0 then unreadable
+  else
+    let klen = Repro_util.Varint.value s p in
+    if kp + klen > psz then unreadable else cmp_key_at s kp klen key
+
+(* Forward walk from start [i], reconstructing keys from shared
+   prefixes ([prev]: the previous record's key). It self-terminates: the
+   next restart's key is > [key] (binary-search invariant), and past the
+   last start every later key lives in a later fenced page whose first
+   key is > [key] (floor property). *)
+let rec walk_v2 s psz starts key i prev =
+  if i >= Array.length starts then Absent
+  else begin
+    let start = starts.(i) in
+    let p = Repro_util.Varint.next s start ~limit:psz in
+    let sp = Repro_util.Varint.next s p ~limit:psz in
+    let kp = Repro_util.Varint.next s sp ~limit:psz in
+    if kp < 0 then Resume { off = start; prev }
     else
-      let ci =
-        if i < shared then String.unsafe_get prev i
-        else String.unsafe_get s (pos + i - shared)
-      in
-      let c = Char.compare ci (String.unsafe_get key i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+      let shared = Repro_util.Varint.value s p in
+      let suffix_len = Repro_util.Varint.value s sp in
+      if kp + suffix_len > psz then Resume { off = start; prev }
+      else
+        let c = cmp_composite prev shared s kp suffix_len key in
+        if c > 0 then Absent
+        else if c = 0 then
+          if p + Repro_util.Varint.value s start <= psz then
+            found s (kp + suffix_len)
+          else Resume { off = start; prev }
+        else begin
+          let b = Bytes.create (shared + suffix_len) in
+          Bytes.blit_string prev 0 b 0 shared;
+          Bytes.blit_string s kp b shared suffix_len;
+          walk_v2 s psz starts key (i + 1) (Bytes.unsafe_to_string b)
+        end
+  end
 
 (* V2 in-page search: binary-search the restart points (every
    restart_interval-th start stores its full key, the first always),
-   then forward-decode within one interval, reconstructing keys from
-   shared prefixes. Unlike the V1 search there is no legacy I/O budget
-   to match — a question settled by in-page bytes is answered in-page;
-   only records whose key or entry bytes genuinely spill past the page
-   end defer to the resumed stream, carrying the reconstruction
-   reference in [prev]. *)
+   then forward-decode within one interval. Unlike the V1 search there
+   is no legacy I/O budget to match — a question settled by in-page
+   bytes is answered in-page; only records whose key or entry bytes
+   genuinely spill past the page end defer to the resumed stream,
+   carrying the reconstruction reference in [prev]. *)
 let search_page_v2 page starts key =
   let s = Bytes.unsafe_to_string page in
   let psz = String.length s in
@@ -599,82 +633,17 @@ let search_page_v2 page starts key =
   if n = 0 then Absent
   else begin
     let interval = Sst_format.restart_interval in
-    (* (suffix offset, length) of the restart record r's full key
-       ([shared = 0]); None when the bytes run past the page end. *)
-    let restart_key r =
-      let start = starts.(r * interval) in
-      match Repro_util.Varint.read s start with
-      | exception Invalid_argument _ -> None
-      | _body_len, p -> (
-          match Repro_util.Varint.read s p with
-          | exception Invalid_argument _ -> None
-          | _shared, p -> (
-              match Repro_util.Varint.read s p with
-              | exception Invalid_argument _ -> None
-              | suffix_len, p ->
-                  if p + suffix_len > psz then None else Some (p, suffix_len)))
-    in
-    let nr = (n + interval - 1) / interval in
-    let probe_restart r =
-      match restart_key r with
-      | None -> 1 (* sorts high; settled by the walk's Resume *)
-      | Some (kp, klen) -> cmp_key_at s kp klen key
-    in
-    let lo = ref 0 and hi = ref (nr - 1) in
+    let lo = ref 0 and hi = ref (((n + interval - 1) / interval) - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi + 1) / 2 in
-      if probe_restart mid <= 0 then lo := mid else hi := mid - 1
+      if restart_cmp s psz starts.(mid * interval) key <= 0 then lo := mid
+      else hi := mid - 1
     done;
-    if
-      !lo = 0
-      && (match restart_key 0 with
-         | None -> false (* spills past the page: the walk must Resume *)
-         | Some (kp, klen) -> cmp_key_at s kp klen key > 0)
-    then
+    let c0 = if !lo = 0 then restart_cmp s psz starts.(0) key else 0 in
+    if c0 > 0 && c0 <> unreadable then
       (* key precedes the page's first key: readable and > key. *)
       Absent
-    else begin
-      (* Forward walk from the chosen restart. It self-terminates: the
-         next restart's key is > [key] (binary-search invariant), and
-         past the last start every later key lives in a later fenced
-         page whose first key is > [key] (floor property). *)
-      let rec walk i prev =
-        if i >= n then Absent
-        else begin
-          let start = starts.(i) in
-          match Repro_util.Varint.read s start with
-          | exception Invalid_argument _ -> Resume { off = start; prev }
-          | body_len, p -> (
-              let body_end = p + body_len in
-              match Repro_util.Varint.read s p with
-              | exception Invalid_argument _ -> Resume { off = start; prev }
-              | shared, p -> (
-                  match Repro_util.Varint.read s p with
-                  | exception Invalid_argument _ -> Resume { off = start; prev }
-                  | suffix_len, p ->
-                      if p + suffix_len > psz then Resume { off = start; prev }
-                      else
-                        let c = cmp_composite prev shared s p suffix_len key in
-                        if c > 0 then Absent
-                        else if c = 0 then begin
-                          if body_end <= psz then
-                            let lsn, lp =
-                              Repro_util.Varint.read s (p + suffix_len)
-                            in
-                            let entry, _ = Kv.Entry.decode s lp in
-                            Found (entry, lsn)
-                          else Resume { off = start; prev }
-                        end
-                        else begin
-                          let b = Bytes.create (shared + suffix_len) in
-                          Bytes.blit_string prev 0 b 0 shared;
-                          Bytes.blit_string s p b shared suffix_len;
-                          walk (i + 1) (Bytes.unsafe_to_string b)
-                        end))
-        end
-      in
-      walk (!lo * interval) ""
-    end
+    else walk_v2 s psz starts key (!lo * interval) ""
   end
 
 (* Continue the seed's linear find loop at payload offset [off] of chain
@@ -688,53 +657,68 @@ let linear_from t pos off ~prev key =
     ~finally:(fun () -> release bs)
     (fun () ->
       match refill bs ~continuation:true with
-      | exception End_of_component -> None
+      | exception End_of_component -> Absent
       | () ->
           bs.off <- off;
           bs.prev <- prev;
           let rec find () =
             match next_record bs with
-            | None -> None
+            | None -> Absent
             | Some (k, e, lsn) ->
                 let c = String.compare k key in
-                if c = 0 then Some (e, lsn)
-                else if c > 0 then None
+                if c = 0 then Found (e, lsn)
+                else if c > 0 then Absent
                 else find ()
           in
           find ())
 
-(** [get_with_lsn t key]: point lookup returning the record's stored LSN
-    (recovery's replay filter). *)
-let get_with_lsn t key =
-  if is_empty t then None
+(* How a point lookup reads a data page through the pool: verify once
+   per load, derive the record starts once per load, search in place.
+   Built once per format, so a pool hit allocates no closure. *)
+let page_reader read =
+  {
+    Pagestore.Buffer_manager.verify = verify_data_page;
+    derive = (fun page b -> Sst_format.record_starts ~page b);
+    read;
+  }
+
+let v1_page = page_reader search_page
+let v2_page = page_reader search_page_v2
+
+(* The point lookup's verdict: [Found] or [Absent], never [Resume]. *)
+let lookup t key =
+  if is_empty t then Absent
   else if
     String.compare key t.footer.Sst_format.min_key < 0
     || String.compare key t.footer.Sst_format.max_key > 0
-  then None
+  then Absent
   else
     (* [locate] folds in the V2 zone-map check: a key past the floor
        page's last starting key is reported absent with zero I/O. *)
     match locate t key with
-    | None -> None
-    | Some pos ->
-        let id = t.pages.(pos) in
-        let search =
+    | -1 -> Absent
+    | pos -> (
+        let reader =
           match t.footer.Sst_format.version with
-          | Sst_format.V1 -> search_page
-          | Sst_format.V2 -> search_page_v2
+          | Sst_format.V1 -> v1_page
+          | Sst_format.V2 -> v2_page
         in
-        let verdict =
-          Pagestore.Store.with_page_starts t.store id ~seq:false
-            ~verify:(fun b -> Sst_format.verify_page_bytes b ~page:id)
-            ~derive:Sst_format.record_starts
-            (fun page starts -> search page starts key)
-        in
-        (* Resolve page-crossing cases outside the pinned-page callback so
-           the lookup never stacks pins (tiny pools stay workable). *)
-        (match verdict with
-        | Found (e, lsn) -> Some (e, lsn)
-        | Absent -> None
-        | Resume { off; prev } -> linear_from t pos off ~prev key)
+        match
+          Pagestore.Store.with_page_starts t.store t.pages.(pos) ~seq:false
+            reader key
+        with
+        | Resume { off; prev } ->
+            (* Resolved outside the pinned-page callback so the lookup
+               never stacks pins (tiny pools stay workable). *)
+            linear_from t pos off ~prev key
+        | verdict -> verdict)
+
+(** [get_with_lsn t key]: point lookup returning the record's stored LSN
+    (recovery's replay filter). *)
+let get_with_lsn t key =
+  match lookup t key with
+  | Found (e, lsn) -> Some (e, lsn)
+  | Absent | Resume _ -> None
 
 (** [get_linear_with_lsn t key] is the seed's linear lookup — decode
     records from the page's first restart until the key passes by. Kept
@@ -748,8 +732,8 @@ let get_linear_with_lsn t key =
   then None
   else
     match locate_linear t key with
-    | None -> None
-    | Some pos ->
+    | -1 -> None
+    | pos ->
         let bs = stream_at t ~cached:true pos in
         Fun.protect
           ~finally:(fun () -> release bs)
@@ -773,7 +757,7 @@ let get_linear t key =
 (** [get t key] point lookup: one cached page read (one seek when the page
     is cold), plus continuation pages for records spanning pages. *)
 let get t key =
-  match get_with_lsn t key with Some (e, _) -> Some e | None -> None
+  match lookup t key with Found (e, _) -> Some e | Absent | Resume _ -> None
 
 (** {1 Scrubbing} *)
 

@@ -67,12 +67,12 @@ val get_linear_with_lsn : t -> string -> (Kv.Entry.t * int) option
 
 (** [locate t key]: chain position of the data page a lookup for [key]
     must consult — Eytzinger fence descent plus (V2) the zone-map check;
-    [None] means the key is provably absent without any I/O. *)
-val locate : t -> string -> int option
+    [-1] means the key is provably absent without any I/O. *)
+val locate : t -> string -> int
 
 (** Reference linear fence walk mirroring {!locate} (the QCheck
     oracle). *)
-val locate_linear : t -> string -> int option
+val locate_linear : t -> string -> int
 
 type iter
 

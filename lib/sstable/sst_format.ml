@@ -73,15 +73,17 @@ let verify_page_bytes b ~page =
   if not (page_ok_bytes b) then
     raise (Corrupt { what = "data page checksum"; page })
 
-(** [record_starts b] derives the in-page restart points: the payload
+(** [record_starts ~page b] derives the in-page restart points: the payload
     offset of each record that *begins* in this page, in key order. The
     read path binary-searches this array instead of decoding every record
     before the target (Appendix A.2's format stays byte-identical on
     disk; the array is cached per buffer-pool frame). Only the last entry
     may belong to a record that spills past the page end — its offset is
     still exact, the spill is the reader's problem. Call only on a
-    CRC-verified page: the walk trusts the length varints. *)
-let record_starts b =
+    CRC-verified page: the walk trusts the length varints, and a layout
+    that still does not add up (a header count overrunning the payload)
+    raises {!Corrupt} naming [page], the platter page id. *)
+let record_starts ~page b =
   let s = Bytes.unsafe_to_string b in
   let psz = String.length s in
   let n = Char.code s.[0] lor (Char.code s.[1] lsl 8) in
@@ -92,7 +94,7 @@ let record_starts b =
   let starts = Array.make n 0 in
   let off = ref (header_bytes + cont) in
   for i = 0 to n - 1 do
-    if !off >= psz then raise (Corrupt { what = "record start walk"; page = -1 });
+    if !off >= psz then raise (Corrupt { what = "record start walk"; page });
     starts.(i) <- !off;
     (* Hop over [varint body_len][body]. The body-length varint itself can
        be split by the page boundary (the builder spills records byte by
@@ -300,13 +302,14 @@ module Fence = struct
       if p = 0 then None else Some p
     end
 
-  (** [locate t key]: the slot of the rightmost fence key [<= key]
-      ([None] if [key] precedes every fence key). Branch-free Eytzinger
+  (** [locate t key]: the slot of the rightmost fence key [<= key] ([0]
+      if [key] precedes every fence key: slots start at 1, so the answer
+      needs no option). Branch-free Eytzinger
       descent: each comparison appends one path bit; at the bottom, the
       floor is the node where the path last turned right — recovered by
       stripping the trailing left-turn zeros and that final one bit. *)
   let locate t key =
-    if t.n = 0 then None
+    if t.n = 0 then 0
     else begin
       let k = ref 1 in
       while !k <= t.n do
@@ -319,8 +322,7 @@ module Fence = struct
       while !j land 1 = 0 do
         j := !j lsr 1
       done;
-      let j = !j lsr 1 in
-      if j = 0 then None else Some j
+      !j lsr 1
     end
 
   (** Reference implementation of {!locate}: walk slots in key order,
@@ -330,11 +332,10 @@ module Fence = struct
       match slot with
       | None -> best
       | Some s ->
-          if String.compare t.keys.(s) key <= 0 then
-            go (succ_slot t s) (Some s)
+          if String.compare t.keys.(s) key <= 0 then go (succ_slot t s) s
           else best
     in
-    go (first_slot t) None
+    go (first_slot t) 0
 end
 
 (** {1 Footer}

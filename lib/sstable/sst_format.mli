@@ -27,11 +27,13 @@ val page_ok_bytes : Bytes.t -> bool
     [page]. *)
 val verify_page_bytes : Bytes.t -> page:int -> unit
 
-(** [record_starts b] derives the in-page restart points (payload offset
-    of each record beginning in this page, key order) from a
+(** [record_starts ~page b] derives the in-page restart points (payload
+    offset of each record beginning in this page, key order) from a
     CRC-verified data page; the on-disk format is unchanged. Only the
-    final offset may belong to a record spilling past the page end. *)
-val record_starts : Bytes.t -> int array
+    final offset may belong to a record spilling past the page end. A
+    header record count that overruns the payload raises {!Corrupt}
+    naming [page] (the platter page id). *)
+val record_starts : page:int -> Bytes.t -> int array
 
 (** Page/record layout version. [V1]: full key per record (the seed's
     format, bytes unchanged). [V2]: keys prefix-compressed within a page
@@ -98,13 +100,13 @@ module Fence : sig
   val has_zone_maps : t -> bool
   [@@lint.allow "U001"] (* format-inspection probe *)
 
-  (** Slot of the rightmost fence key [<= key] ([None]: key precedes the
-      table). Branch-free Eytzinger descent. *)
-  val locate : t -> string -> int option
+  (** Slot of the rightmost fence key [<= key] ([0]: key precedes the
+      table; slots start at 1). Branch-free Eytzinger descent. *)
+  val locate : t -> string -> int
 
   (** Reference linear in-order walk — the QCheck oracle {!locate} is
       held to. *)
-  val locate_linear : t -> string -> int option
+  val locate_linear : t -> string -> int
 
   (** Smallest slot in key order. *)
   val first_slot : t -> int option

@@ -171,6 +171,77 @@ let prop_monotone_under_more_adds =
       List.iter (Bloom.add b) second;
       ok_before && List.for_all (Bloom.mem b) first)
 
+(* Golden bytes: [to_string] of both layouts over a fixed key set
+   (including the empty key and bytes >= 0x80), recorded from the
+   filter's original closure-and-tuple hashing code. Bit positions are
+   part of the persisted format, so any change to the hash or the probe
+   derivation fails here — a round-trip test cannot notice. *)
+let golden_keys =
+  "" :: "\xff\x80\x00"
+  :: List.init 58 (fun i -> Printf.sprintf "user%06d" (i * 7919))
+
+let golden_standard =
+  String.concat ""
+    [
+      "d804073cf757586edd32516d007f099849f69bbd7a492cbbb99811faf47a854b";
+      "95aeb88d7ff64840bd2a86aef6c73d82707a8bbc9da628bceab2450a76232a43";
+      "6f74d5da43572701d5f3979f13d145";
+    ]
+
+let golden_blocked =
+  String.concat ""
+    [
+      "008008073ca700a6412e0214046247dcc088a2105214a5111a0580cbd64d32c2";
+      "2830150e3228d37250964f2db30a9c858168d2121540411032e2092604080d38";
+      "060101300235d02a921204a80846244a034288c03ec38a842401b85528a61148";
+      "08453ca055161010ba1a490c0c212c41c1733c1472450740226088352e3c7044";
+      "2445120c01";
+    ]
+
+let hex s =
+  String.concat ""
+    (List.map
+       (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+let test_golden_bytes () =
+  List.iter
+    (fun (name, kind, expected) ->
+      let b = Bloom.create ~kind ~expected_items:(List.length golden_keys) () in
+      List.iter (Bloom.add b) golden_keys;
+      check Alcotest.string name expected (hex (Bloom.to_string b)))
+    [
+      ("standard", Bloom.Standard, golden_standard);
+      ("blocked", Bloom.Blocked, golden_blocked);
+    ]
+
+(* A membership probe, hit or miss, allocates nothing: the hash and both
+   derived probe seeds stay unboxed. *)
+let test_mem_no_alloc () =
+  List.iter
+    (fun kind ->
+      let b = Bloom.create ~kind ~expected_items:1000 () in
+      for i = 0 to 999 do
+        Bloom.add b (Printf.sprintf "key%06d" i)
+      done;
+      let probes = Array.init 2000 (Printf.sprintf "key%06d") in
+      let hits = ref 0 in
+      let measure f =
+        let before = Gc.minor_words () in
+        f ();
+        Gc.minor_words () -. before
+      in
+      let words =
+        measure (fun () ->
+            for i = 0 to Array.length probes - 1 do
+              if Bloom.mem b probes.(i) then incr hits
+            done)
+        -. measure ignore
+      in
+      if !hits < 1000 then Alcotest.fail "false negative";
+      check (Alcotest.float 0.) "minor words for 2000 probes" 0. words)
+    [ Bloom.Standard; Bloom.Blocked ]
+
 let () =
   Alcotest.run "bloom"
     [
@@ -181,6 +252,8 @@ let () =
           Alcotest.test_case "fp rate" `Quick test_fp_rate_below_target;
           Alcotest.test_case "sizing" `Quick test_sizing;
           Alcotest.test_case "serialization" `Quick test_serialization_roundtrip;
+          Alcotest.test_case "golden bytes" `Quick test_golden_bytes;
+          Alcotest.test_case "mem allocates nothing" `Quick test_mem_no_alloc;
           QCheck_alcotest.to_alcotest prop_no_false_negatives;
           QCheck_alcotest.to_alcotest prop_monotone_under_more_adds;
         ] );

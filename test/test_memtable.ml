@@ -112,6 +112,68 @@ let prop_skiplist_succ_matches_model =
       let actual = Skiplist.succ_geq sl probe in
       Option.map fst expected = Option.map fst actual)
 
+(* The hash index behind [find] against a Map model and against the
+   list's own descent ([succ_geq k] landing on [k]), checked for every
+   key after every step of a random update/set/remove/succ_geq sequence
+   over a small keyspace, so removed keys are re-inserted often. *)
+let index_keys = List.init 24 (Printf.sprintf "k%02d")
+
+let gen_index_op =
+  QCheck.Gen.(
+    map2
+      (fun op k -> (op, Printf.sprintf "k%02d" k))
+      (int_range 0 3) (int_range 0 23))
+
+let descent_find sl k =
+  match Skiplist.succ_geq sl k with
+  | Some (k', v) when String.equal k' k -> Some v
+  | _ -> None
+
+let prop_skiplist_index_model =
+  QCheck.Test.make ~name:"find = Map model = descent" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list (pair int string))
+       QCheck.Gen.(list_size (1 -- 150) gen_index_op))
+    (fun ops ->
+      let sl = Skiplist.create () in
+      let m = ref SMap.empty in
+      List.iteri
+        (fun step (op, k) ->
+          (match op with
+          | 0 ->
+              let prev =
+                Skiplist.update sl k (function None -> step | Some v -> v + step)
+              in
+              if prev <> SMap.find_opt k !m then
+                QCheck.Test.fail_reportf "update %s: wrong previous value" k;
+              m :=
+                SMap.add k
+                  (match prev with None -> step | Some v -> v + step)
+                  !m
+          | 1 ->
+              Skiplist.set sl k step;
+              m := SMap.add k step !m
+          | 2 ->
+              if Skiplist.remove sl k <> SMap.find_opt k !m then
+                QCheck.Test.fail_reportf "remove %s: wrong value" k;
+              m := SMap.remove k !m
+          | _ ->
+              let expected = SMap.find_first_opt (fun k' -> k' >= k) !m in
+              if Skiplist.succ_geq sl k <> expected then
+                QCheck.Test.fail_reportf "succ_geq %s disagrees" k);
+          List.iter
+            (fun k ->
+              let model = SMap.find_opt k !m in
+              if Skiplist.find sl k <> model then
+                QCheck.Test.fail_reportf "step %d: find %s <> model" step k;
+              if descent_find sl k <> model then
+                QCheck.Test.fail_reportf "step %d: descent %s <> model" step k)
+            index_keys;
+          if Skiplist.length sl <> SMap.cardinal !m then
+            QCheck.Test.fail_reportf "step %d: length" step)
+        ops;
+      true)
+
 (* -------------------------------------------------------------------- *)
 (* Memtable *)
 
@@ -120,6 +182,95 @@ let resolver = Kv.Entry.append_resolver
 let mk () = Memtable.create ~resolver ()
 
 let entry_testable = Alcotest.testable Kv.Entry.pp Kv.Entry.equal
+
+(* The same index check through the memtable's write / consume / remove
+   surface: [get] agrees with a model of composed entries and with the
+   descent ([peek_geq_lsn k] landing on [k]) after every step. *)
+let prop_memtable_index_model =
+  QCheck.Test.make ~name:"memtable get = model = descent" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list (pair int string))
+       QCheck.Gen.(list_size (1 -- 150) gen_index_op))
+    (fun ops ->
+      let t = mk () in
+      let m = ref SMap.empty in
+      List.iteri
+        (fun step (op, k) ->
+          let lsn = step + 1 in
+          (match op with
+          | 0 | 1 ->
+              let e =
+                if op = 0 then Kv.Entry.Base (string_of_int step)
+                else Kv.Entry.Delta [ string_of_int step ]
+              in
+              Memtable.write t ~lsn k e;
+              m :=
+                SMap.add k
+                  (match SMap.find_opt k !m with
+                  | None -> e
+                  | Some older -> Kv.Entry.merge resolver ~newer:e ~older)
+                  !m
+          | 2 ->
+              let got = Memtable.remove t k in
+              if not (Option.equal Kv.Entry.equal got (SMap.find_opt k !m)) then
+                QCheck.Test.fail_reportf "remove %s: wrong entry" k;
+              m := SMap.remove k !m
+          | _ -> (
+              match Memtable.consume_geq_lsn t k with
+              | None ->
+                  if SMap.exists (fun k' _ -> k' >= k) !m then
+                    QCheck.Test.fail_reportf "consume %s: missed a key" k
+              | Some (k', e, _) ->
+                  (match SMap.find_first_opt (fun x -> x >= k) !m with
+                  | Some (mk, me) when String.equal mk k' && Kv.Entry.equal me e
+                    -> ()
+                  | _ -> QCheck.Test.fail_reportf "consume %s: wrong binding" k);
+                  m := SMap.remove k' !m));
+          List.iter
+            (fun k ->
+              let model = SMap.find_opt k !m in
+              if not (Option.equal Kv.Entry.equal (Memtable.get t k) model) then
+                QCheck.Test.fail_reportf "step %d: get %s <> model" step k;
+              let descent =
+                match Memtable.peek_geq_lsn t k with
+                | Some (k', e, _) when String.equal k' k -> Some e
+                | _ -> None
+              in
+              if not (Option.equal Kv.Entry.equal descent model) then
+                QCheck.Test.fail_reportf "step %d: descent %s <> model" step k)
+            index_keys;
+          if Memtable.count t <> SMap.cardinal !m then
+            QCheck.Test.fail_reportf "step %d: count" step)
+        ops;
+      true)
+
+(* A [find] hit allocates only its [Some]: the index probe itself is
+   allocation-free. *)
+let test_skiplist_find_alloc () =
+  let sl = Skiplist.create () in
+  let keys = Array.init 10_000 (Printf.sprintf "key%06d") in
+  Array.iteri (fun i k -> Skiplist.set sl k i) keys;
+  let n = 5_000 in
+  let probes = Array.init n (fun i -> keys.(i * 7919 mod 10_000)) in
+  let found = ref 0 in
+  let measure f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let words =
+    measure (fun () ->
+        for i = 0 to n - 1 do
+          match Skiplist.find sl probes.(i) with
+          | Some _ -> incr found
+          | None -> ()
+        done)
+    -. measure ignore
+  in
+  check Alcotest.int "all hit" n !found;
+  if words /. float_of_int n > 2.0 then
+    Alcotest.failf "find hit allocates %.2f words (limit 2)"
+      (words /. float_of_int n)
 
 let test_memtable_write_get () =
   let t = mk () in
@@ -235,6 +386,9 @@ let () =
           Alcotest.test_case "iter_from" `Quick test_skiplist_iter_from;
           QCheck_alcotest.to_alcotest prop_skiplist_model;
           QCheck_alcotest.to_alcotest prop_skiplist_succ_matches_model;
+          QCheck_alcotest.to_alcotest prop_skiplist_index_model;
+          Alcotest.test_case "find hit allocation" `Quick
+            test_skiplist_find_alloc;
         ] );
       ( "memtable",
         [
@@ -245,5 +399,6 @@ let () =
           Alcotest.test_case "consume_geq" `Quick test_memtable_consume_geq;
           Alcotest.test_case "oldest lsn" `Quick test_memtable_oldest_lsn;
           QCheck_alcotest.to_alcotest prop_memtable_snowshovel_drains_sorted;
+          QCheck_alcotest.to_alcotest prop_memtable_index_model;
         ] );
     ]

@@ -216,7 +216,7 @@ let test_restart_offsets_roundtrip () =
             lor (Char.code (Bytes.get buf 4) lsl 16)
             lor (Char.code (Bytes.get buf 5) lsl 24)
           in
-          let starts = Sstable.Sst_format.record_starts buf in
+          let starts = Sstable.Sst_format.record_starts ~page:id buf in
           check Alcotest.int "starts = n_starts header" n_starts
             (Array.length starts);
           if n_starts > 0 then
@@ -264,6 +264,69 @@ let test_restart_corruption_detected () =
   match Sstable.Reader.get sst "key000000" with
   | exception Sstable.Sst_format.Corrupt _ -> ()
   | _ -> Alcotest.fail "header corruption not detected"
+
+let test_record_starts_names_page () =
+  (* A CRC-resealed page whose header record count overruns its payload
+     passes the checksum; the record-start walk must then raise Corrupt
+     naming the platter page, so the engine reports where the rot is. *)
+  let store = mk_store ~page_size:4096 ~buffer_pages:8 () in
+  let records =
+    List.init 100 (fun i ->
+        (Printf.sprintf "key%06d" i, Kv.Entry.Base (String.make 50 'v')))
+  in
+  let sst = build store records in
+  let footer = Sstable.Reader.footer sst in
+  let first = fst (List.hd footer.Sstable.Sst_format.extents) in
+  Pagestore.Store.with_page_mut store first (fun b ->
+      Bytes.set b 0 '\xff';
+      Bytes.set b 1 '\x7f';
+      Sstable.Sst_format.seal_page b);
+  match Sstable.Reader.get sst "key000001" with
+  | exception Sstable.Sst_format.Corrupt { what; page } ->
+      check Alcotest.string "what" "record start walk" what;
+      check Alcotest.int "names the platter page" first page
+  | _ -> Alcotest.fail "overrunning record count not detected"
+
+let test_pool_hit_get_alloc () =
+  (* A warm V1 lookup allocates the entry it returns and at most 8 words
+     of verdict, option and decode result around it: no closures, tuples
+     or boxed probes on the fence, pool-hit or in-page search path. The
+     median get is held to that; the few records that spill into the
+     next page take the linear stream path and may allocate more. *)
+  let store = mk_store ~page_size:4096 ~buffer_pages:256 () in
+  let n = 2_000 in
+  let key i = Printf.sprintf "key%08d" i in
+  let sst =
+    build store ~extent_pages:256
+      (List.init n (fun i -> (key i, Kv.Entry.Base (String.make 100 'v'))))
+  in
+  let probes = Array.init n (fun i -> key (i * 7919 mod n)) in
+  Array.iter (fun k -> ignore (Sstable.Reader.get sst k)) probes;
+  let entry_words =
+    match Sstable.Reader.get sst probes.(0) with
+    | Some e -> Obj.reachable_words (Obj.repr e)
+    | None -> Alcotest.fail "warm get missed"
+  in
+  let measure f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let overhead = measure ignore in
+  let words =
+    Array.map
+      (fun k ->
+        measure (fun () ->
+            if Sstable.Reader.get sst k = None then
+              Alcotest.failf "warm get of %s missed" k)
+        -. overhead)
+      probes
+  in
+  Array.sort Float.compare words;
+  let median = words.(n / 2) in
+  if median > float_of_int (entry_words + 8) then
+    Alcotest.failf "pool-hit get allocates %.1f words (entry %d + 8 allowed)"
+      median entry_words
 
 let test_truncated_mid_record_is_typed_corrupt () =
   (* Regression for a real find of lint rule E001: when the data pages
@@ -819,7 +882,7 @@ let test_v2_zone_map_miss_zero_io () =
     List.filter_map
       (fun (k, _) ->
         let p = k ^ "!" in
-        match Sstable.Reader.locate sst p with None -> Some p | Some _ -> None)
+        if Sstable.Reader.locate sst p < 0 then Some p else None)
       records
   in
   (* every page's last key generates one such probe *)
@@ -827,7 +890,7 @@ let test_v2_zone_map_miss_zero_io () =
     Alcotest.failf "expected zone-rejected probes, got %d" (List.length rejected);
   List.iter
     (fun p ->
-      check (Alcotest.option Alcotest.int) ("linear agrees on " ^ p) None
+      check Alcotest.int ("linear agrees on " ^ p) (-1)
         (Sstable.Reader.locate_linear sst p))
     rejected;
   Pagestore.Store.crash store;
@@ -987,6 +1050,10 @@ let () =
             test_restart_corruption_detected;
           Alcotest.test_case "truncated mid-record" `Quick
             test_truncated_mid_record_is_typed_corrupt;
+          Alcotest.test_case "record starts name the page" `Quick
+            test_record_starts_names_page;
+          Alcotest.test_case "pool-hit get allocation" `Quick
+            test_pool_hit_get_alloc;
           Alcotest.test_case "verified once" `Quick test_verified_once_semantics;
           Alcotest.test_case "tiny pool pins" `Quick test_tiny_pool_pin_release;
           QCheck_alcotest.to_alcotest prop_restart_get_equals_linear;

@@ -1,9 +1,49 @@
-(* Unit and property tests for lib/util: PRNG, varint, CRC32C, histogram,
-   timeseries, keygen. *)
+(* Unit and property tests for lib/util: FNV-1a, PRNG, varint, CRC32C,
+   histogram, timeseries, keygen. *)
 
 open Repro_util
 
 let check = Alcotest.check
+
+(* -------------------------------------------------------------------- *)
+(* FNV-1a *)
+
+(* Published 64-bit FNV-1a vectors; [hash] is the hash truncated to an
+   OCaml int (its low 63 bits). *)
+let test_fnv1a_vectors () =
+  List.iter
+    (fun (s, hi, lo) ->
+      let got_hi, got_lo = Fnv1a.hash64 s (fun () hi lo -> (hi, lo)) () in
+      check Alcotest.int (s ^ " hi") hi got_hi;
+      check Alcotest.int (s ^ " lo") lo got_lo;
+      check Alcotest.int (s ^ " hash") ((hi lsl 32) lor lo)
+        (Fnv1a.hash s))
+    [
+      ("", 0xcbf29ce4, 0x84222325);
+      ("a", 0xaf63dc4c, 0x8601ec8c);
+      ("foobar", 0x85944171, 0xf73967e8);
+    ]
+
+(* Minor words [f ()] allocates, net of the measurement's own. *)
+let minor_words_of f =
+  let measure f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  measure f -. measure ignore
+
+let test_fnv1a_no_alloc () =
+  let keys = Array.init 64 (Printf.sprintf "user%010d") in
+  let acc = ref 0 in
+  let words =
+    minor_words_of (fun () ->
+        for i = 0 to Array.length keys - 1 do
+          acc := !acc lxor Fnv1a.hash keys.(i)
+        done)
+  in
+  ignore (Sys.opaque_identity !acc);
+  check (Alcotest.float 0.) "minor words for 64 hashes" 0. words
 
 (* -------------------------------------------------------------------- *)
 (* Prng *)
@@ -82,6 +122,35 @@ let test_varint_truncated () =
   (match Varint.read "\x80" 0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected failure on truncated varint")
+
+(* The tuple-free pair agrees with [read]: same value and end offset
+   wherever [read] succeeds, [-1] exactly where it raises — on every
+   prefix of an encoding and on over-long continuation runs. *)
+let test_varint_next_value () =
+  let agree s pos =
+    let next = Varint.next s pos ~limit:(String.length s) in
+    match Varint.read s pos with
+    | v, e ->
+        check Alcotest.int "next = read's end" e next;
+        check Alcotest.int "value = read's value" v (Varint.value s pos)
+    | exception Invalid_argument _ -> check Alcotest.int "next fails" (-1) next
+  in
+  List.iter
+    (fun n ->
+      let buf = Buffer.create 10 in
+      Buffer.add_string buf "ab";
+      Varint.write buf n;
+      let s = Buffer.contents buf in
+      for len = 2 to String.length s do
+        agree (String.sub s 0 len) 2
+      done;
+      check Alcotest.int "limit cuts the varint" (-1)
+        (Varint.next s 2 ~limit:(String.length s - 1)))
+    [ 0; 1; 127; 128; 300; 16383; 16384; 1 lsl 40; max_int ];
+  agree (String.make 12 '\x80' ^ "\x01") 0;
+  agree (String.make 8 '\xff' ^ "\x01") 0;
+  agree "\x05" 3;
+  agree "\x05" (-1)
 
 let prop_varint =
   QCheck.Test.make ~name:"varint roundtrip" ~count:1000
@@ -523,11 +592,17 @@ let () =
           Alcotest.test_case "uniformity" `Quick test_prng_int_rough_uniformity;
           Alcotest.test_case "shuffle" `Quick test_shuffle_permutation;
         ] );
+      ( "fnv1a",
+        [
+          Alcotest.test_case "vectors" `Quick test_fnv1a_vectors;
+          Alcotest.test_case "allocation-free" `Quick test_fnv1a_no_alloc;
+        ] );
       ( "varint",
         [
           Alcotest.test_case "cases" `Quick test_varint_cases;
           Alcotest.test_case "negative" `Quick test_varint_negative_rejected;
           Alcotest.test_case "truncated" `Quick test_varint_truncated;
+          Alcotest.test_case "next/value = read" `Quick test_varint_next_value;
           QCheck_alcotest.to_alcotest prop_varint;
         ] );
       ( "crc32c",
