@@ -72,6 +72,37 @@ let test_crc =
          Repro_util.Crc32c.kernel)
     (Staged.stage (fun () -> ignore (Repro_util.Crc32c.string payload)))
 
+(* Simulated device transfers: a pool miss reads one page off the
+   platter; a merge writes pages that were never written (or freed).
+   These kernels time the page store itself, so they call it directly,
+   outside the Simdisk.Disk accounting that A001 guards. *)
+let[@lint.allow "A001"] test_platter_read =
+  let p = Pagestore.Platter.create ~page_size:4096 in
+  let page = Bytes.make 4096 'p' in
+  for id = 0 to 1023 do
+    Pagestore.Platter.write p id page
+  done;
+  let dst = Bytes.create 4096 in
+  let i = ref 0 in
+  Test.make ~name:"platter.read (4 KiB)"
+    (Staged.stage (fun () ->
+         incr i;
+         Pagestore.Platter.read p (!i * 7919 land 1023) dst))
+
+let[@lint.allow "A001"] test_platter_write =
+  (* Each call writes a page id never written before and drops the one
+     [window] ids back, as freed regions are: the live set stays 16 MiB
+     however many runs the sampler asks for. *)
+  let window = 4096 in
+  let p = Pagestore.Platter.create ~page_size:4096 in
+  let page = Bytes.make 4096 'w' in
+  let i = ref 0 in
+  Test.make ~name:"platter.write (fresh page)"
+    (Staged.stage (fun () ->
+         incr i;
+         Pagestore.Platter.write p !i page;
+         Pagestore.Platter.drop p (!i - window)))
+
 let test_entry_codec =
   let e = Kv.Entry.Base (String.make 1000 'v') in
   Test.make ~name:"entry.encode+decode (sstable record)"
@@ -135,6 +166,8 @@ let tests =
     test_memtable_write;
     test_bloom;
     test_crc;
+    test_platter_read;
+    test_platter_write;
     test_entry_codec;
     test_sstable_get;
     test_zipfian;

@@ -40,7 +40,10 @@ type c0_merge = {
   persist_bloom : bool;
   resolver : Kv.Entry.resolver;
   source : c0_source;
-  mutable cursor : string option;  (** last key taken from C0 *)
+  c0_cursor : Memtable.cursor;
+      (** the snowshovel cursor: sought past every emitted key *)
+  shadow_cursor : (Kv.Entry.t * int) Memtable.Skiplist.cursor option;
+      (** inserts into the shadow, whose keys arrive strictly increasing *)
   c1 : Component.t option;  (** old C1 being rewritten (input) *)
   c1_iter : Sstable.Reader.iter option;
   mutable c1_peek : (string * Kv.Entry.t * int) option;
@@ -57,19 +60,15 @@ type c0_merge = {
 let record_bytes key entry =
   String.length key + Kv.Entry.encoded_size entry
 
-let peek_c0 m =
-  let excl = match m.cursor with None -> "" | Some k -> k ^ "\000" in
-  match m.source with
-  | Live { mem; _ } -> Memtable.peek_geq_lsn mem excl
-  | Frozen mem -> Memtable.peek_geq_lsn mem excl
+let peek_c0 m = Memtable.peek m.c0_cursor
 
 let take_c0 m (key, entry, lsn) =
   m.mem_bytes_read <- m.mem_bytes_read + record_bytes key entry;
-  match m.source with
-  | Live { mem; shadow } ->
-      ignore (Memtable.remove mem key);
-      Memtable.Skiplist.set shadow key (entry, lsn)
-  | Frozen _ -> ()
+  match m.shadow_cursor with
+  | Some shadow ->
+      Memtable.take m.c0_cursor;
+      Memtable.Skiplist.insert shadow key (entry, lsn)
+  | None -> ()
 
 let advance_c1 m =
   match m.c1_iter with
@@ -111,7 +110,13 @@ let create_c0_merge ~config ~store ~source ~c1 ~run_cap ~expected_items =
     persist_bloom = config.Config.persist_bloom;
     resolver = config.Config.resolver;
     source;
-    cursor = None;
+    c0_cursor =
+      Memtable.cursor
+        (match source with Live { mem; _ } -> mem | Frozen mem -> mem);
+    shadow_cursor =
+      (match source with
+      | Live { shadow; _ } -> Some (Memtable.Skiplist.cursor shadow)
+      | Frozen _ -> None);
     c1;
     c1_iter;
     c1_peek;
@@ -130,9 +135,10 @@ let create_c0_merge ~config ~store ~source ~c1 ~run_cap ~expected_items =
 (* The snowshovel cursor is "the lowest key that comes after the last
    value written" (§4.2) — it tracks the last key *emitted*, from either
    input, so a fresh C0 insert of an already-emitted key waits for the
-   next run instead of breaking output order. *)
+   next run instead of breaking output order. Emitted keys strictly
+   increase, so the C0 cursor's finger only moves forward. *)
 let emit m key entry ~lsn =
-  m.cursor <- Some key;
+  Memtable.seek_after m.c0_cursor key;
   Sstable.Builder.add ~lsn m.builder key entry;
   match m.bloom with Some b -> Bloom.add b key | None -> ()
 

@@ -16,26 +16,20 @@ type guard = { guard : 'a. (unit -> 'a) -> 'a }
 
 let unguarded = { guard = (fun f -> f ()) }
 
-(* Streams a sorted table by successor queries ([next k]: the first
-   record with key >= k), each past the last key returned. *)
-let key_pull next ~from =
-  let cursor = ref from in
-  fun () ->
-    match next !cursor with
-    | Some (k, _, _) as r ->
-        cursor := k ^ "\000";
-        r
-    | None -> None
-
 let memtable mem =
   {
     probe = Memtable.get mem;
-    version =
-      (fun key ->
-        match Memtable.peek_geq_lsn mem key with
-        | Some (k, _, lsn) when String.equal k key -> Some lsn
-        | _ -> None);
-    open_at = (fun from -> key_pull (Memtable.peek_geq_lsn mem) ~from);
+    version = Memtable.newest_lsn mem;
+    open_at =
+      (fun from ->
+        let c = Memtable.cursor mem in
+        Memtable.seek c from;
+        fun () ->
+          match Memtable.peek c with
+          | Some (k, _, _) as r ->
+              Memtable.seek_after c k;
+              r
+          | None -> None);
   }
 
 let shadow sl =
@@ -44,12 +38,14 @@ let shadow sl =
     version = (fun key -> Option.map snd (Memtable.Skiplist.find sl key));
     open_at =
       (fun from ->
-        key_pull
-          (fun k ->
-            match Memtable.Skiplist.succ_geq sl k with
-            | Some (k, (e, lsn)) -> Some (k, e, lsn)
-            | None -> None)
-          ~from);
+        let c = Memtable.Skiplist.cursor sl in
+        Memtable.Skiplist.seek c from;
+        fun () ->
+          match Memtable.Skiplist.peek c with
+          | Some (k, (e, lsn)) ->
+              Memtable.Skiplist.seek_after c k;
+              Some (k, e, lsn)
+          | None -> None);
   }
 
 (* Run [read c key] for its guard without allocating a thunk per call:

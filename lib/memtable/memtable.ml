@@ -100,18 +100,32 @@ let consume_min t =
   | Some (k, _) -> consume_geq t k
   | None -> None
 
-(** [peek_geq_lsn t key] inspects without consuming, with the newest
-    contributing LSN. *)
-let peek_geq_lsn t key =
-  match Skiplist.succ_geq t.sl key with
+(** [newest_lsn t key] is the newest LSN folded into [key]'s entry: one
+    hash probe, no descent. *)
+let newest_lsn t key =
+  match Skiplist.find t.sl key with Some s -> Some s.lsn_newest | None -> None
+
+(* {1 Cursors} *)
+
+type cursor = { mem : t; sc : slot Skiplist.cursor }
+
+let cursor t = { mem = t; sc = Skiplist.cursor t.sl }
+
+let seek c key = Skiplist.seek c.sc key
+
+let seek_after c key = Skiplist.seek_after c.sc key
+
+(** [peek c] is the next binding with its newest contributing LSN. *)
+let peek c =
+  match Skiplist.peek c.sc with
   | Some (k, slot) -> Some (k, slot.entry, slot.lsn_newest)
   | None -> None
 
-(** [peek_geq t key] inspects without consuming. *)
-let peek_geq t key =
-  match Skiplist.succ_geq t.sl key with
-  | Some (k, slot) -> Some (k, slot.entry)
-  | None -> None
+(** [take c] drops the binding [peek c] returns: snowshovel consumption. *)
+let take c =
+  match Skiplist.take c.sc with
+  | Some (k, slot) -> c.mem.bytes <- c.mem.bytes - entry_bytes k slot.entry
+  | None -> ()
 
 (** [oldest_lsn t] is the smallest LSN any live entry depends on, or [None]
     when empty. O(n); called once per merge completion to pick the WAL

@@ -43,12 +43,35 @@ val consume_geq_lsn : t -> string -> (string * Kv.Entry.t * int) option
 (** [consume_min t] pops the overall smallest binding. *)
 val consume_min : t -> (string * Kv.Entry.t) option
 
-(** [peek_geq t key] inspects without consuming. *)
-val peek_geq : t -> string -> (string * Kv.Entry.t) option
-[@@lint.allow "U001"] (* iteration family kept whole for embedders *)
+(** [newest_lsn t key] is the newest LSN folded into [key]'s entry (the
+    version an optimistic transaction validates against): one hash
+    probe, no descent. *)
+val newest_lsn : t -> string -> int option
 
-(** As {!peek_geq}, with the newest contributing LSN. *)
-val peek_geq_lsn : t -> string -> (string * Kv.Entry.t * int) option
+(** {1 Cursors}
+
+    An in-order walk of C0 with a skip-list finger ({!Skiplist.cursor}):
+    the snowshovel's peek and take, and the read path's scan pulls, cost
+    about one key comparison each instead of a descent. Seek keys must
+    not decrease; writes never invalidate a cursor, and a cursor that
+    missed another's removal re-descends once. *)
+
+type cursor
+
+val cursor : t -> cursor
+
+(** [seek c k]: the next {!peek} returns the smallest key >= [k]. *)
+val seek : cursor -> string -> unit
+
+(** [seek_after c k]: the next {!peek} returns the smallest key > [k]. *)
+val seek_after : cursor -> string -> unit
+
+(** [peek c] is the next binding, with the newest LSN folded into it. *)
+val peek : cursor -> (string * Kv.Entry.t * int) option
+
+(** [take c] drops the binding {!peek} would return (merge consumption),
+    releasing its bytes. *)
+val take : cursor -> unit
 
 (** [oldest_lsn t] is the smallest LSN any live entry depends on — the
     WAL truncation point. O(n); called once per merge completion. *)

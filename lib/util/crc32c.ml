@@ -5,9 +5,10 @@
 
     Two kernels compute the same function. On x86-64 CPUs with SSE4.2,
     {!update} calls the [crc32] instruction through a C stub
-    ([crc32c_stubs.c]), eight bytes per step. Elsewhere it runs a
-    table-slicing loop in OCaml. The CPU is checked once, when this
-    module is initialised.
+    ([crc32c_stubs.c]), eight bytes per step on three independent
+    streams of 256 bytes each, joined by a shift-by-256-bytes table.
+    Elsewhere it runs a table-slicing loop in OCaml. The CPU is checked
+    once, when this module is initialised.
 
     The table kernel: the classic one-table loop is bound by its serial
     dependency chain, since every byte's table lookup waits on the

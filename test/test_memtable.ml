@@ -183,9 +183,18 @@ let mk () = Memtable.create ~resolver ()
 
 let entry_testable = Alcotest.testable Kv.Entry.pp Kv.Entry.equal
 
+(* A fresh cursor sought to [k] descends from the head: the ordered
+   structure's own answer for [k], with its newest LSN. *)
+let memtable_descent t k =
+  let c = Memtable.cursor t in
+  Memtable.seek c k;
+  match Memtable.peek c with
+  | Some (k', e, lsn) when String.equal k' k -> Some (e, lsn)
+  | _ -> None
+
 (* The same index check through the memtable's write / consume / remove
    surface: [get] agrees with a model of composed entries and with the
-   descent ([peek_geq_lsn k] landing on [k]) after every step. *)
+   descent (a cursor sought to [k] landing on [k]) after every step. *)
 let prop_memtable_index_model =
   QCheck.Test.make ~name:"memtable get = model = descent" ~count:300
     (QCheck.make
@@ -231,16 +240,148 @@ let prop_memtable_index_model =
               let model = SMap.find_opt k !m in
               if not (Option.equal Kv.Entry.equal (Memtable.get t k) model) then
                 QCheck.Test.fail_reportf "step %d: get %s <> model" step k;
-              let descent =
-                match Memtable.peek_geq_lsn t k with
-                | Some (k', e, _) when String.equal k' k -> Some e
-                | _ -> None
-              in
+              let descent = Option.map fst (memtable_descent t k) in
               if not (Option.equal Kv.Entry.equal descent model) then
                 QCheck.Test.fail_reportf "step %d: descent %s <> model" step k)
             index_keys;
           if Memtable.count t <> SMap.cardinal !m then
             QCheck.Test.fail_reportf "step %d: count" step)
+        ops;
+      true)
+
+(* [newest_lsn] (one hash probe) against the descent's LSN for every
+   key, present or absent, after every step of random writes, removes,
+   snowshovel consumes and cursor takes. *)
+let prop_memtable_newest_lsn =
+  QCheck.Test.make ~name:"newest_lsn probe = descent" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list (pair int string))
+       QCheck.Gen.(
+         list_size (1 -- 150)
+           (map2
+              (fun op k -> (op, Printf.sprintf "k%02d" k))
+              (int_range 0 4) (int_range 0 23))))
+    (fun ops ->
+      let t = mk () in
+      List.iteri
+        (fun step (op, k) ->
+          let lsn = step + 1 in
+          (match op with
+          | 0 -> Memtable.write t ~lsn k (Kv.Entry.Base (string_of_int step))
+          | 1 -> Memtable.write t ~lsn k (Kv.Entry.Delta [ string_of_int step ])
+          | 2 -> ignore (Memtable.remove t k)
+          | 3 -> ignore (Memtable.consume_geq_lsn t k)
+          | _ ->
+              let c = Memtable.cursor t in
+              Memtable.seek c k;
+              Memtable.take c);
+          List.iter
+            (fun k ->
+              let descent = Option.map snd (memtable_descent t k) in
+              if Memtable.newest_lsn t k <> descent then
+                QCheck.Test.fail_reportf "step %d: newest_lsn %s <> descent"
+                  step k)
+            index_keys)
+        ops;
+      true)
+
+(* Two cursors against a Map model, interleaved with writes and removes
+   made outside any cursor. Each cursor's model position is its last
+   sought key; seeks only move forward (a cursor that would have to move
+   back is replaced by a fresh one). After every step the list equals the
+   model in order and by [find], and each cursor's [peek] is the model's
+   successor of its position: so a [take] by one cursor while the other
+   holds a finger, and an outside [remove], must leave both correct. *)
+type position = Start | Geq of string | After of string
+
+let gen_cursor_op =
+  QCheck.Gen.(
+    map3 (fun op cur k -> (op, cur, Printf.sprintf "k%02d" k))
+      (int_range 0 9) (int_range 0 1) (int_range 0 29))
+
+let passed pos k =
+  match pos with
+  | Start -> false
+  | Geq b -> String.compare k b < 0
+  | After b -> String.compare k b <= 0
+
+let prop_skiplist_cursor_model =
+  QCheck.Test.make ~name:"cursors vs Map model" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list (triple int int string))
+       QCheck.Gen.(list_size (1 -- 200) gen_cursor_op))
+    (fun ops ->
+      let sl = Skiplist.create () in
+      let m = ref SMap.empty in
+      let cur = [| Skiplist.cursor sl; Skiplist.cursor sl |] in
+      let pos = [| Start; Start |] in
+      let succ i = SMap.find_first_opt (fun k -> not (passed pos.(i) k)) !m in
+      (* Seek cursor [i] to [p], or restart it if that would move back. *)
+      let reposition i k p =
+        if passed pos.(i) k || (pos.(i) = After k) then begin
+          cur.(i) <- Skiplist.cursor sl;
+          pos.(i) <- Start
+        end;
+        match p with
+        | `Geq ->
+            Skiplist.seek cur.(i) k;
+            pos.(i) <- Geq k
+        | `After ->
+            Skiplist.seek_after cur.(i) k;
+            pos.(i) <- After k
+      in
+      List.iteri
+        (fun step (op, i, k) ->
+          (match op with
+          | 0 ->
+              ignore
+                (Skiplist.update sl k (function None -> step | Some v -> v + step));
+              m :=
+                SMap.add k
+                  (match SMap.find_opt k !m with None -> step | Some v -> v + step)
+                  !m
+          | 1 ->
+              Skiplist.set sl k step;
+              m := SMap.add k step !m
+          | 2 ->
+              if Skiplist.remove sl k <> SMap.find_opt k !m then
+                QCheck.Test.fail_reportf "remove %s: wrong value" k;
+              m := SMap.remove k !m
+          | 3 -> reposition i k `Geq
+          | 4 -> reposition i k `After
+          | 5 -> (
+              (* step past the binding just peeked: the cheap seek *)
+              match Skiplist.peek cur.(i) with
+              | Some (k', _) -> reposition i k' `After
+              | None -> ())
+          | 6 | 7 ->
+              let expected = succ i in
+              let got = Skiplist.take cur.(i) in
+              if got <> expected then
+                QCheck.Test.fail_reportf "step %d: take by cursor %d" step i;
+              Option.iter (fun (k', _) -> m := SMap.remove k' !m) got
+          | _ ->
+              (* insert links at the finger: the key must lie past it *)
+              if not (passed pos.(i) k || pos.(i) = After k) then begin
+                Skiplist.insert cur.(i) k step;
+                m := SMap.add k step !m;
+                pos.(i) <- After k
+              end);
+          if Skiplist.to_list sl <> SMap.bindings !m then
+            QCheck.Test.fail_reportf "step %d: list order <> model" step;
+          if Skiplist.length sl <> SMap.cardinal !m then
+            QCheck.Test.fail_reportf "step %d: length" step;
+          List.iter
+            (fun k ->
+              if Skiplist.find sl k <> SMap.find_opt k !m then
+                QCheck.Test.fail_reportf "step %d: find %s <> model" step k)
+            (List.init 30 (Printf.sprintf "k%02d"));
+          Array.iteri
+            (fun i c ->
+              if Skiplist.peek c <> succ i then
+                QCheck.Test.fail_reportf "step %d: cursor %d peek <> model"
+                  step i)
+            cur)
         ops;
       true)
 
@@ -387,6 +528,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_skiplist_model;
           QCheck_alcotest.to_alcotest prop_skiplist_succ_matches_model;
           QCheck_alcotest.to_alcotest prop_skiplist_index_model;
+          QCheck_alcotest.to_alcotest prop_skiplist_cursor_model;
           Alcotest.test_case "find hit allocation" `Quick
             test_skiplist_find_alloc;
         ] );
@@ -400,5 +542,6 @@ let () =
           Alcotest.test_case "oldest lsn" `Quick test_memtable_oldest_lsn;
           QCheck_alcotest.to_alcotest prop_memtable_snowshovel_drains_sorted;
           QCheck_alcotest.to_alcotest prop_memtable_index_model;
+          QCheck_alcotest.to_alcotest prop_memtable_newest_lsn;
         ] );
     ]

@@ -111,6 +111,93 @@ let test_platter_write_isolated () =
   Pagestore.Platter.read p 0 dst;
   check Alcotest.bytes "isolated" (Bytes.make 8 'a') dst
 
+(* The platter against a Map model. Page ids cover several 16-page
+   chunks (first and last page of a chunk among them) and ids far past
+   the rest; whole-chunk drops send chunks to the spare list, so later
+   writes reuse them. After every step every id reads as the model says
+   (zeroes when dropped or never written), [stored_pages] matches, and a
+   [corrupt] call is false on an absent page and otherwise flips exactly
+   the one bit it names. *)
+module IMap = Map.Make (Int)
+
+let platter_ids = [ 0; 1; 15; 16; 17; 31; 32; 47; 63; 64; 100; 159; 1000; 70_000 ]
+
+let prop_platter_model =
+  let ps = 24 in
+  let gen_op =
+    QCheck.Gen.(
+      map3
+        (fun op id (byte, bit) -> (op, id, byte, bit))
+        (int_range 0 5)
+        (oneofl platter_ids)
+        (pair (int_range 0 (ps - 1)) (int_range 0 7)))
+  in
+  QCheck.Test.make ~name:"platter vs Map model" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list (quad int int int int))
+       QCheck.Gen.(list_size (1 -- 120) gen_op))
+    (fun ops ->
+      let p = Pagestore.Platter.create ~page_size:ps in
+      let m = ref IMap.empty in
+      let read id =
+        let dst = Bytes.make ps 'q' in
+        Pagestore.Platter.read p id dst;
+        dst
+      in
+      List.iteri
+        (fun step (op, id, byte, bit) ->
+          (match op with
+          | 0 | 1 ->
+              let src =
+                Bytes.init ps (fun j -> Char.chr (((step * 7) + (j * 13) + id) land 0xFF))
+              in
+              Pagestore.Platter.write p id src;
+              m := IMap.add id (Bytes.copy src) !m
+          | 2 ->
+              Pagestore.Platter.drop p id;
+              m := IMap.remove id !m
+          | 3 ->
+              (* free the page's whole chunk, as a freed region would *)
+              let base = id / 16 * 16 in
+              for j = base to base + 15 do
+                Pagestore.Platter.drop p j;
+                m := IMap.remove j !m
+              done
+          | 4 -> (
+              let before = read id in
+              let flipped = Pagestore.Platter.corrupt p id ~byte ~bit in
+              match IMap.find_opt id !m with
+              | None ->
+                  if flipped then
+                    QCheck.Test.fail_reportf "step %d: corrupt absent %d" step id
+              | Some b ->
+                  if not flipped then
+                    QCheck.Test.fail_reportf "step %d: corrupt %d refused" step id;
+                  let after = read id in
+                  for j = 0 to ps - 1 do
+                    let d = Char.code (Bytes.get before j) lxor Char.code (Bytes.get after j) in
+                    if d <> (if j = byte then 1 lsl bit else 0) then
+                      QCheck.Test.fail_reportf "step %d: corrupt %d byte %d" step id j
+                  done;
+                  Bytes.set b byte (Bytes.get after byte))
+          | _ -> ignore (read id));
+          List.iter
+            (fun id ->
+              let expect =
+                match IMap.find_opt id !m with
+                | Some b -> b
+                | None -> Bytes.make ps '\000'
+              in
+              if not (Bytes.equal (read id) expect) then
+                QCheck.Test.fail_reportf "step %d: page %d <> model" step id)
+            platter_ids;
+          if Pagestore.Platter.stored_pages p <> IMap.cardinal !m then
+            QCheck.Test.fail_reportf "step %d: stored_pages" step;
+          if Pagestore.Platter.stored_bytes p <> ps * IMap.cardinal !m then
+            QCheck.Test.fail_reportf "step %d: stored_bytes" step)
+        ops;
+      true)
+
 (* -------------------------------------------------------------------- *)
 (* Buffer manager *)
 
@@ -430,6 +517,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_platter_roundtrip;
           Alcotest.test_case "absent zero" `Quick test_platter_absent_reads_zero;
           Alcotest.test_case "write isolated" `Quick test_platter_write_isolated;
+          QCheck_alcotest.to_alcotest prop_platter_model;
         ] );
       ( "buffer_manager",
         [

@@ -254,6 +254,30 @@ let prop_crc_kernels_agree =
       && fin (Crc32c.table_update 0xFFFFFFFF s pos len) = expect
       && two_piece = expect)
 
+(* The hardware fold runs three 256-byte streams per 768-byte step and a
+   single chain on what is left: every length around those boundaries, at
+   every alignment, against the table kernel and the bitwise reference. *)
+let test_crc_edge_lengths () =
+  let lengths =
+    List.init 17 Fun.id
+    @ [ 767; 768; 769; 1535; 1536; 2304; 4095; 4096; 4097; 8197 ]
+  in
+  let s =
+    String.init (8 + 8197) (fun i -> Char.chr (((i * 131) + (i lsr 8)) land 0xFF))
+  in
+  let fin c = c lxor 0xFFFFFFFF in
+  List.iter
+    (fun len ->
+      for pos = 0 to 7 do
+        let expect = crc_reference (String.sub s pos len) in
+        let what = Printf.sprintf "len=%d pos=%d" len pos in
+        check Alcotest.int ("table " ^ what) expect
+          (fin (Crc32c.table_update 0xFFFFFFFF s pos len));
+        check Alcotest.int ("update " ^ what) expect
+          (fin (Crc32c.update 0xFFFFFFFF s pos len))
+      done)
+    lengths
+
 (* A silent fallback to the table kernel would keep every checksum right
    and only cost speed, so pin the selection itself: where the kernel
    lists SSE4.2 among the CPU flags, [update] must run the instruction. *)
@@ -617,6 +641,7 @@ let () =
             test_crc_incremental_compose;
           Alcotest.test_case "standard vectors" `Quick test_crc_standard_vectors;
           QCheck_alcotest.to_alcotest prop_crc_kernels_agree;
+          Alcotest.test_case "edge lengths" `Quick test_crc_edge_lengths;
           Alcotest.test_case "hardware selected" `Quick
             test_crc_hardware_selected;
           Alcotest.test_case "bounds checked" `Quick test_crc_bounds_checked;
